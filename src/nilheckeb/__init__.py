@@ -44,6 +44,7 @@ from .weylb import (
     identity,
     inverse,
     is_reduced,
+    left_ascent,
     length,
     longest_element,
     longest_word,
@@ -131,6 +132,7 @@ __all__ = [
     "some_reduced_word",
     "all_reduced_words",
     "is_reduced",
+    "left_ascent",
     "enumerate_group",
     "act",
     "act_gen",

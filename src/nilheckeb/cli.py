@@ -70,8 +70,9 @@ def build_parser():
     p = sub.add_parser("nh", help="normal form of an operator expression")
     common(p)
     p.add_argument("expr", nargs="*",
-                   help="PBW-shaped summands like 'x1*w2*D(1,2) + 2*D(1)'; "
-                        "several expressions are multiplied left to right")
+                   help="sums of products like 'x1*w2*D(1,2) + 2*D(1)*x1', each "
+                        "product taken in the order written; several expressions "
+                        "are multiplied left to right")
     p.add_argument("--word", default=None, help="generator word: emit D(word) in normal form")
 
     p = sub.add_parser("dg", help="apply the differential to an expression")
@@ -237,6 +238,8 @@ def _verify_suites(ns):
 
 def _cmd_verify(ns):
     reports = _verify_suites(ns)
+    if not reports:
+        raise ValueError(f"suite {ns.suite!r} has no checks at n={ns.n}")
     ok = all(r.passed for r in reports)
     if ns.format == "json":
         payload = {"pass": ok, "suites": [r.to_json() for r in reports]}

@@ -8,8 +8,11 @@ polynomial with the operator form of the twisted Leibniz rule,
 
     D_i * g  =  D_i(g)  +  s_i(g) * D_i,
 
-and pure D-words compose by the reduced-product law (zero when lengths
-fail to add).
+and pure D-words compose by the nil law, D_i * D_t = D_{s_i t} when
+l(s_i t) = l(t) + 1 and zero otherwise.  ``nh_mul`` pushes the letters
+of a reduced word of u through ``g * D_v`` one at a time, keeping the
+pieces keyed by the group element of their tail, and prunes a tail at
+the first letter that fails to lengthen it.
 """
 
 from __future__ import annotations
@@ -25,11 +28,11 @@ from .report import SuiteReport
 from .weylb import (
     SignedPerm,
     act_gen,
-    compose,
     enumerate_group,
     from_word,
     identity,
     is_reduced,
+    left_ascent,
     length,
     some_reduced_word,
 )
@@ -190,21 +193,38 @@ class NHElement:
         return degs.pop()
 
 
-def _push_through(word, g):
-    """Rewrite D_word * g as sum of poly * D_tail; returns {tail: ExtPoly}."""
-    pieces = {(): g}
-    for letter in reversed(word):
+def _by_window(a):
+    """The parts of an element as {window of w: ExtPoly coefficient of D_w}."""
+    parts = {}
+    for (e, m, win), c in a.terms.items():
+        parts.setdefault(win, {})[(e, m)] = c
+    return {win: ExtPoly(a.nvars, OMEGA, t) for win, t in parts.items()}
+
+
+def _push_through(word, pieces):
+    """Rewrite D_word * sum(poly * D_t) as a sum of poly * D_t.
+
+    ``word`` is reduced and ``pieces`` maps the window of t to its poly.
+    Letters act right to left by the twisted Leibniz rule and the nil law,
+
+        D_i * poly * D_t  =  D_i(poly) * D_t  +  s_i(poly) * D_i * D_t,
+        D_i * D_t  =  D_{s_i t} if l(s_i t) = l(t) + 1, else 0,
+
+    so a tail is dropped at the first letter that fails to lengthen it,
+    and s_i(poly) is computed only for tails that survive.
+    """
+    for i in reversed(word):
         new = {}
-        for tail, poly in pieces.items():
-            d = demazure(letter, poly)
+        for t, poly in pieces.items():
+            d = demazure(i, poly)
             if d:
-                prev = new.get(tail)
-                new[tail] = d if prev is None else prev + d
-            s = act_gen(letter, poly)
-            if s:
-                key = (letter,) + tail
-                prev = new.get(key)
-                new[key] = s if prev is None else prev + s
+                prev = new.get(t)
+                new[t] = d if prev is None else prev + d
+            st = left_ascent(i, t)
+            if st is not None:
+                prev = new.get(st)
+                s = act_gen(i, poly)
+                new[st] = s if prev is None else prev + s
         pieces = new
     return pieces
 
@@ -214,7 +234,6 @@ def nh_mul(a, b):
     a._check(b)
     n = a.nvars
     out = {}
-    lengths = {}
 
     def put(key, c):
         v = out.get(key)
@@ -227,26 +246,12 @@ def nh_mul(a, b):
             else:
                 del out[key]
 
-    for (ea, ma, wa), ca in a.terms.items():
-        u = SignedPerm(wa)
-        word_u = some_reduced_word(u)
-        mono = ExtPoly(n, OMEGA, {(ea, ma): ca})
-        for (eb, mb, wb), cb in b.terms.items():
-            g = ExtPoly(n, OMEGA, {(eb, mb): cb})
-            v = SignedPerm(wb)
-            lv = lengths.get(wb)
-            if lv is None:
-                lv = lengths[wb] = length(v)
-            for tail, poly in _push_through(word_u, g).items():
-                if not is_reduced(tail, n):
-                    continue
-                t = from_word(tail, n)
-                tv = compose(t, v)
-                if length(tv) != len(tail) + lv:
-                    continue
-                full = mono * poly
-                for (e, m), c in full.terms.items():
-                    put((e, m, tv.window), c)
+    parts_b = _by_window(b)
+    for wa, mono in _by_window(a).items():
+        word_u = some_reduced_word(SignedPerm(wa))
+        for t, poly in _push_through(word_u, parts_b).items():
+            for (e, m), c in (mono * poly).terms.items():
+                put((e, m, t), c)
     return NHElement(n, out)
 
 
@@ -273,10 +278,11 @@ _D_RE = re.compile(r"^D\(\s*(\d+(?:\s*,\s*\d+)*)?\s*\)$")
 def render_nh(a):
     if not a.terms:
         return "0"
+    words = {win: some_reduced_word(SignedPerm(win)) for win in {k[2] for k in a.terms}}
 
     def sort_key(key):
         e, m, win = key
-        return (length(SignedPerm(win)), win, m, tuple(-v for v in e))
+        return (len(words[win]), win, m, tuple(-v for v in e))
 
     pieces = []
     for idx, key in enumerate(sorted(a.terms, key=sort_key)):
@@ -290,9 +296,8 @@ def render_nh(a):
                 factors.append(f"x{i}^{p}")
         for i in m:
             factors.append(f"w{i}")
-        w = SignedPerm(win)
-        if not w.is_identity():
-            factors.append("D(" + ",".join(map(str, some_reduced_word(w))) + ")")
+        if words[win]:
+            factors.append("D(" + ",".join(map(str, words[win])) + ")")
         mag = abs(c)
         if not factors:
             body = str(mag)
@@ -308,7 +313,11 @@ def render_nh(a):
 
 
 def parse_nh(text, nvars):
-    """Parse a sum of terms like ``x1^2*w1*D(1,2,1)``."""
+    """Parse a sum of terms like ``x1^2*w1*D(1,2,1)``.
+
+    Each term is the product of its factors in the order written, so
+    ``D(1)*x1`` is ``1 + x2*D(1)`` and a term may hold several ``D(...)``.
+    """
     s = text.strip()
     if s == "0":
         return NHElement.zero(nvars)
@@ -322,28 +331,21 @@ def parse_nh(text, nvars):
         if chunk.startswith("-"):
             sign = -1
             chunk = chunk[1:].strip()
-        factors = [p.strip() for p in chunk.split("*")]
-        word = None
-        plain = []
-        for fac in factors:
+        term = NHElement.one(nvars)
+        for fac in chunk.split("*"):
+            fac = fac.strip()
             m = _D_RE.match(fac)
             if m:
-                if word is not None:
-                    raise ValueError("more than one D(...) factor in a term")
                 word = tuple(int(v) for v in m.group(1).split(",")) if m.group(1) else ()
+                factor = NHElement.dee_word(word, nvars)
             else:
-                plain.append(fac)
-        if plain:
-            coeff, xexp, odd_seq, fam = parse_term("*".join(plain), nvars)
-            if fam not in (None, OMEGA):
-                raise ValueError("nilHecke terms use the w family")
-        else:
-            coeff, xexp, odd_seq = Fraction(1), (0,) * nvars, []
-        mono = ExtPoly.from_terms(nvars, [(sign * coeff, xexp, odd_seq)], OMEGA)
-        term = NHElement.from_poly(mono)
-        if word is not None:
-            term = nh_mul(term, NHElement.dee_word(word, nvars))
-        total = total + term
+                coeff, xexp, odd_seq, fam = parse_term(fac, nvars)
+                if fam not in (None, OMEGA):
+                    raise ValueError("nilHecke terms use the w family")
+                factor = NHElement.from_poly(
+                    ExtPoly.from_terms(nvars, [(coeff, xexp, odd_seq)], OMEGA))
+            term = nh_mul(term, factor)
+        total = total + term * sign
     return total
 
 

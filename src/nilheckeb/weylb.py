@@ -33,6 +33,7 @@ __all__ = [
     "inverse",
     "length",
     "right_descents",
+    "left_ascent",
     "some_reduced_word",
     "all_reduced_words",
     "is_reduced",
@@ -153,6 +154,28 @@ def right_descents(w):
     if win[w.n - 1] < 0:
         out.append(w.n)
     return out
+
+
+def left_ascent(i, window):
+    """The window of s_i t when l(s_i t) = l(t) + 1, else None.
+
+    s_i t is longer exactly when t^-1 sends the simple root of s_i to a
+    positive root: for i < n, when the first of the entries +-i, +-(i+1)
+    in the window is +i or -(i+1); for i = n, when +n is in the window.
+    """
+    n = len(window)
+    if i == n:
+        return tuple(-n if v == n else v for v in window) if n in window else None
+    j = i + 1
+    first = None
+    out = list(window)
+    for p, v in enumerate(window):
+        a = abs(v)
+        if a == i or a == j:
+            if first is None:
+                first = v
+            out[p] = i + j - a if v > 0 else a - i - j
+    return tuple(out) if first == i or first == -j else None
 
 
 def some_reduced_word(w):

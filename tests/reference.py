@@ -1,15 +1,18 @@
 """Independent oracles the tests compare the library against.
 
-Everything here is written from scratch on sympy and plain tuples and
-shares no code with the package: a symbolic divided difference for even
-polynomials, and a breadth-first model of the signed-permutation group.
+Everything here is written from scratch on sympy and plain tuples: a
+symbolic divided difference for even polynomials, and a breadth-first
+model of the signed-permutation group.  The one exception is the
+brute-force operator product ``oracle_nh_mul``, which borrows the
+package's single-letter operators and polynomial arithmetic but does its
+own word expansion and group bookkeeping.
 """
 
 from fractions import Fraction
 
 import sympy
 
-from nilheckeb import ExtPoly, OMEGA
+from nilheckeb import ExtPoly, NHElement, OMEGA, act_gen, demazure
 
 
 def sy_vars(n):
@@ -98,3 +101,50 @@ def oracle_poincare(n):
     for d in dist.values():
         coeffs[d] += 1
     return coeffs
+
+
+def win_reduced_word(w, dist):
+    """A reduced word of the window w: strip right descents down to e."""
+    n = len(w)
+    letters = []
+    while dist[w]:
+        i = next(i for i in range(1, n + 1) if dist[win_mul(w, win_gen(i, n))] < dist[w])
+        w = win_mul(w, win_gen(i, n))
+        letters.append(i)
+    return tuple(reversed(letters))
+
+
+def oracle_nh_mul(a, b):
+    """The product a*b, expanding every subword of a reduced word of u.
+
+    Each letter of D_u, right to left, splits a piece into D_i(poly) on
+    the same tail word and s_i(poly) on the word with i prepended.  Tails
+    that are not reduced, or whose lengths fail to add with v, are dropped
+    only at the end.
+    """
+    n = a.nvars
+    dist = bfs_lengths(n)
+    e = tuple(range(1, n + 1))
+    out = {}
+    for (ea, ma, wa), ca in a.terms.items():
+        word = win_reduced_word(wa, dist)
+        mono = ExtPoly(n, OMEGA, {(ea, ma): ca})
+        for (eb, mb, wb), cb in b.terms.items():
+            pieces = {(): ExtPoly(n, OMEGA, {(eb, mb): cb})}
+            for i in reversed(word):
+                new = {}
+                for tail, poly in pieces.items():
+                    for key, part in ((tail, demazure(i, poly)), ((i,) + tail, act_gen(i, poly))):
+                        if part:
+                            new[key] = new[key] + part if key in new else part
+                pieces = new
+            for tail, poly in pieces.items():
+                t = e
+                for i in tail:
+                    t = win_mul(t, win_gen(i, n))
+                tv = win_mul(t, wb)
+                if dist[tv] != len(tail) + dist[wb]:
+                    continue
+                for (ex, m), c in (mono * poly).terms.items():
+                    out[(ex, m, tv)] = out.get((ex, m, tv), 0) + c
+    return NHElement(n, {k: c for k, c in out.items() if c})

@@ -116,6 +116,23 @@ def test_nh_normal_form(capsys):
     assert out == "0\n"
 
 
+def test_nh_multiplies_factors_in_order(capsys):
+    code, out = run(capsys, ["nh", "--n", "2", "D(1)*x1"])
+    assert code == 0
+    assert out == "1 + x2*D(1)\n"
+    code, out = run(capsys, ["nh", "--n", "2", "D(2)*D(1)*D(2) - D(2)*D(1)*D(2)"])
+    assert code == 0
+    assert out == "0\n"
+
+
+def test_verify_with_no_suite_is_exit_one(capsys):
+    code = cli.main(["verify", "--n", "1", "--suite", "solomon"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "solomon" in captured.err
+
+
 def test_nh_rejects_expr_and_word_together(capsys):
     code = cli.main(["nh", "--n", "2", "D(1)", "--word", "1"])
     assert code == 1

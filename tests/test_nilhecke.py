@@ -3,13 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from nilheckeb import (
     NHElement,
     OMEGA,
     demazure_w,
     enumerate_group,
     from_word,
+    longest_element,
     nh_act,
     nh_mul,
     parse_nh,
@@ -18,6 +22,7 @@ from nilheckeb import (
     render_nh,
     verify_presentation,
 )
+from nilheckeb.nilhecke import _random_nh
 
 
 def dee(i, n):
@@ -100,3 +105,73 @@ def test_omega_partial_square():
 def test_suite_green(n):
     rep = verify_presentation(n, trials=25, seed=0)
     assert rep.passed, str(rep)
+
+
+def test_parse_multiplies_factors_in_order():
+    n = 2
+    x1, x2 = NHElement.x(1, n), NHElement.x(2, n)
+    assert parse_nh("D(1)*x1", n) == NHElement.one(n) + x2 * dee(1, n)
+    assert parse_nh("D(1)*x1", n) == dee(1, n) * x1
+    assert parse_nh("x1*D(1)", n) == x1 * dee(1, n)
+    assert parse_nh("-D(2)*w2*D(1)", n) == -(dee(2, n) * NHElement.omega(2, n) * dee(1, n))
+    assert parse_nh("w2*w1", n) == -parse_nh("w1*w2", n)
+
+
+def test_parse_allows_several_dee_factors():
+    n = 2
+    assert parse_nh("D(1)*D(2)*D(1)", n) == NHElement.dee(from_word((1, 2, 1), n))
+    assert parse_nh("D(1)*D(1)", n).is_zero()
+    assert parse_nh("D(1,2)*D(2)", n).is_zero()
+
+
+def test_matches_brute_force_oracle_at_rank_three():
+    n = 3
+    rng = random.Random(11)
+    group = enumerate_group(n)
+    for _ in range(40):
+        a = _random_nh(n, rng, group)
+        b = _random_nh(n, rng, group)
+        assert nh_mul(a, b) == reference.oracle_nh_mul(a, b)
+
+
+@pytest.mark.parametrize("g", ["x1", "w1"])
+def test_longest_element_matches_brute_force_oracle_at_rank_four(g):
+    n = 4
+    a = NHElement.dee(longest_element(n))
+    b = parse_nh(g, n)
+    assert nh_mul(a, b) == reference.oracle_nh_mul(a, b)
+
+
+GROUPS = {n: enumerate_group(n) for n in (2, 3)}
+
+
+@st.composite
+def elements(draw, n, max_terms=3):
+    term = st.tuples(
+        st.tuples(*[st.integers(0, 2)] * n),
+        st.sets(st.integers(1, n)).map(lambda m: tuple(sorted(m))),
+        st.sampled_from(GROUPS[n]).map(lambda w: w.window),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
+    )
+    terms = draw(st.lists(term, min_size=1, max_size=max_terms))
+    return NHElement(n, {(e, m, w): c for e, m, w, c in terms})
+
+
+def probes(n):
+    return st.integers(0, 10**6).map(
+        lambda seed: random_poly(n, OMEGA, max_xdeg=3, max_terms=3, seed=seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(elements(n), elements(n), probes(n))))
+def test_product_acts_as_composition(args):
+    a, b, f = args
+    assert nh_act(nh_mul(a, b), f) == nh_act(a, nh_act(b, f))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(
+    lambda n: st.tuples(elements(n, 2), elements(n, 2), elements(n, 2))))
+def test_product_is_associative(args):
+    a, b, c = args
+    assert nh_mul(nh_mul(a, b), c) == nh_mul(a, nh_mul(b, c))

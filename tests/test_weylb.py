@@ -16,9 +16,11 @@ from nilheckeb import (
     compose,
     enumerate_group,
     from_word,
+    gen,
     identity,
     inverse,
     is_reduced,
+    left_ascent,
     length,
     longest_element,
     longest_word,
@@ -117,3 +119,12 @@ def test_action_is_a_group_action():
 def test_suite_green(n):
     rep = verify_weyl(n, trials=25, seed=0)
     assert rep.passed, str(rep)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_left_ascent_is_the_length_test(n):
+    for t in enumerate_group(n):
+        for i in range(1, n + 1):
+            st = compose(gen(i, n), t)
+            longer = length(st) > length(t)
+            assert left_ascent(i, t.window) == (st.window if longer else None)
