@@ -1,4 +1,4 @@
-"""Term-level arithmetic kernels (pure Python twin of the compiled module).
+"""Term-level arithmetic kernels on sparse polynomial dicts.
 
 A polynomial with odd generators is stored as a dict mapping
 ``(xexp, omask) -> Fraction`` where ``xexp`` is a tuple of nonnegative
@@ -6,8 +6,6 @@ integer exponents (one slot per even variable) and ``omask`` is a strictly
 increasing tuple of 1-based odd-generator indices.  Coefficients are kept
 nonzero; all functions return fresh dicts and never mutate their inputs.
 """
-
-BACKEND_NAME = "python"
 
 
 def odd_merge(ma, mb):

@@ -20,7 +20,7 @@ import random
 import re
 from fractions import Fraction
 
-from ._backend import kernels as _k
+from . import _kernels_py as _k
 
 OMEGA = "w"
 DX = "dx"
@@ -374,6 +374,7 @@ def exact_div_linear(f, form):
 # -- text form ----------------------------------------------------------
 
 _FACTOR_RE = re.compile(r"^(?:(\d+(?:/\d+)?)|x(\d+)(?:\^(\d+))?|w(\d+)|dx(\d+))$")
+_SIGN_RE = re.compile(r"([+-])")
 
 
 def _render_term(xexp, mask, coeff, family):
@@ -412,6 +413,32 @@ def render(f):
         else:
             pieces.append(("- " if c < 0 else "+ ") + body)
     return " ".join(pieces)
+
+
+def split_terms(text):
+    """Split a signed sum ``['-'] term (('+' | '-') term)*`` into terms.
+
+    Returns ``(sign, term text)`` pairs.  Empty input, a lone sign, a
+    doubled sign and a trailing sign raise ValueError naming what was
+    expected and what was found instead.
+    """
+    parts = _SIGN_RE.split(text)
+    sign, after = 1, None
+    if not parts[0].strip() and parts[1:2] == ["-"]:
+        sign, after = -1, "-"
+        parts = parts[2:]
+    out = []
+    for k in range(0, len(parts), 2):
+        body = parts[k].strip()
+        if not body:
+            found = repr(parts[k + 1]) if k + 1 < len(parts) else "end of input"
+            where = f" after {after!r}" if after else ""
+            raise ValueError(f"expected a term{where}, found {found}")
+        out.append((sign, body))
+        if k + 1 < len(parts):
+            after = parts[k + 1]
+            sign = 1 if after == "+" else -1
+    return out
 
 
 def parse_term(chunk, nvars):
@@ -458,20 +485,9 @@ def parse(text, nvars, family=None):
     The odd family is inferred from the generators present; ``family``
     only disambiguates purely even input (default OMEGA).
     """
-    s = text.strip()
-    if s == "0":
-        return ExtPoly.zero(nvars, family or OMEGA)
-    s = s.replace("-", "+-")
     entries = []
     seen_family = None
-    for chunk in s.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        sign = 1
-        if chunk.startswith("-"):
-            sign = -1
-            chunk = chunk[1:].strip()
+    for sign, chunk in split_terms(text):
         coeff, xexp, odd_seq, fam = parse_term(chunk, nvars)
         if fam is not None:
             if seen_family is None:

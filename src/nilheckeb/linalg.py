@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["rref", "rank", "solve", "nullspace"]
+__all__ = ["rref", "rank", "solve"]
 
 
 def rref(rows):
@@ -50,20 +50,3 @@ def solve(rows, rhs):
     for i, c in enumerate(pivots):
         x[c] = m[i][-1]
     return x
-
-
-def nullspace(rows):
-    """A basis of the kernel of A (list of vectors)."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    m, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        basis.append(v)
-    return basis

@@ -17,14 +17,15 @@ the first letter that fails to lengthen it.
 
 from __future__ import annotations
 
-import itertools
 import random
 import re
 from fractions import Fraction
 
+from . import _kernels_py as _k
 from .demazure import demazure, demazure_w
-from .extpoly import OMEGA, ExtPoly, parse_term, random_poly
+from .extpoly import OMEGA, ExtPoly, parse_term, random_poly, split_terms
 from .report import SuiteReport
+from .schur import schubert
 from .weylb import (
     SignedPerm,
     act_gen,
@@ -125,23 +126,12 @@ class NHElement:
         if not isinstance(other, NHElement):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k)
-            if v is None:
-                out[k] = c
-            else:
-                v = v + c
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-        return NHElement(self.nvars, out)
+        return NHElement(self.nvars, _k.add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NHElement(self.nvars, {k: -c for k, c in self.terms.items()})
+        return NHElement(self.nvars, _k.scale_terms(self.terms, -1))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -155,10 +145,7 @@ class NHElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return NHElement.zero(self.nvars)
-            return NHElement(self.nvars, {k: v * c for k, v in self.terms.items()})
+            return NHElement(self.nvars, _k.scale_terms(self.terms, Fraction(other)))
         if isinstance(other, NHElement):
             return nh_mul(self, other)
         return NotImplemented
@@ -318,19 +305,8 @@ def parse_nh(text, nvars):
     Each term is the product of its factors in the order written, so
     ``D(1)*x1`` is ``1 + x2*D(1)`` and a term may hold several ``D(...)``.
     """
-    s = text.strip()
-    if s == "0":
-        return NHElement.zero(nvars)
-    s = s.replace("-", "+-")
     total = NHElement.zero(nvars)
-    for chunk in s.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        sign = 1
-        if chunk.startswith("-"):
-            sign = -1
-            chunk = chunk[1:].strip()
+    for sign, chunk in split_terms(text):
         term = NHElement.one(nvars)
         for fac in chunk.split("*"):
             fac = fac.strip()
@@ -471,14 +447,14 @@ def verify_presentation(n, trials=25, seed=0):
 
 
 def _detects_nonzero(a):
-    """Find a plain monomial the nonzero element acts on without vanishing."""
-    n = a.nvars
-    bound = max((sum(e) for (e, _, _) in a.terms), default=0) + n * n + 1
-    for k in itertools.product(range(bound), repeat=n):
-        probe = ExtPoly(n, OMEGA, {(k, ()): Fraction(1)})
-        if nh_act(a, probe):
-            return True
-    return False
+    """Act on the Schubert polynomial S_u of a shortest u in the support.
+
+    D_u(S_u) is a nonzero constant.  D_v(S_u) vanishes when l(v) > l(u),
+    by degree, and when l(v) = l(u) with v != u, by the composition law.
+    So a * S_u is a nonzero multiple of the coefficient of D_u.
+    """
+    u = min({win for (_, _, win) in a.terms}, key=lambda win: (length(SignedPerm(win)), win))
+    return bool(nh_act(a, schubert(SignedPerm(u), a.nvars)))
 
 
 def pbw_well_formed(a):

@@ -15,6 +15,7 @@ x_1^(2n-1) ... x_n under the divided differences of w^{-1} w_0.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from .weylb import (
 __all__ = [
     "homog_B",
     "elem_squares",
+    "default_invariant_gens",
     "staircase",
     "omega_mono",
     "schur_ext",
@@ -80,6 +82,11 @@ def elem_squares(k, j, nvars):
             e[v - 1] = 2
         terms[(tuple(e), ())] = Fraction(1)
     return ExtPoly(nvars, OMEGA, terms)
+
+
+def default_invariant_gens(n):
+    """f_i = e_(n-i+1) in the squared variables, of degree 2(n-i+1)."""
+    return [elem_squares(n - i + 1, n, n) for i in range(1, n + 1)]
 
 
 def _pad_partition(alpha, n):
@@ -222,15 +229,10 @@ def format_poincare(coeffs):
 # -- decomposition over the invariant ring ------------------------------
 
 
-def _invariant_gens(n):
-    """The generators e_n(x^2), ..., e_1(x^2) with degrees 2n, ..., 2."""
-    return [elem_squares(n - i + 1, n, n) for i in range(1, n + 1)]
-
-
 def _lambda_monomials(n, deg, gens=None):
     """All monomials in the invariant generators of the given x-degree."""
     if gens is None:
-        gens = _invariant_gens(n)
+        gens = default_invariant_gens(n)
     degs = [2 * (n - i + 1) for i in range(1, n + 1)]
     out = []
 
@@ -271,7 +273,7 @@ def decompose_schubert(f):
     for k in range(n + 1):
         for beta, s in invariant_schur_basis(n, k):
             svals[beta] = s
-    gens = _invariant_gens(n)
+    gens = default_invariant_gens(n)
 
     result = {}
     for d, comp in f.homogeneous_components(XDEG).items():
@@ -372,7 +374,7 @@ def verify_schur(n, trials=10, seed=0):
     for k in range(n + 1):
         layer = invariant_schur_basis(n, k)
         count += len(layer)
-        ok = ok and len(layer) == _binom(n, k)
+        ok = ok and len(layer) == math.comb(n, k)
         for beta, s in layer:
             ok = ok and is_invariant(s)
             basis.append(s)
@@ -407,10 +409,3 @@ def verify_schur(n, trials=10, seed=0):
         rep.add("Schubert decomposition round-trip", ok)
 
     return rep
-
-
-def _binom(n, k):
-    out = 1
-    for t in range(k):
-        out = out * (n - t) // (t + 1)
-    return out

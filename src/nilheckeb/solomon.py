@@ -33,7 +33,7 @@ from .extpoly import (
     render,
 )
 from .report import SuiteReport
-from .schur import elem_squares, invariant_schur_basis, is_invariant
+from .schur import default_invariant_gens, invariant_schur_basis, is_invariant
 from .weylb import act_gen
 
 __all__ = [
@@ -639,11 +639,6 @@ def check_char2(P, theta):
 
 
 # -- the J homomorphism -------------------------------------------------
-
-
-def default_invariant_gens(n):
-    """f_i = e_(n-i+1) in the squared variables, of degree 2(n-i+1)."""
-    return [elem_squares(n - i + 1, n, n) for i in range(1, n + 1)]
 
 
 class JMap:

@@ -18,6 +18,7 @@ and twists the odd generators:
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import re
 
@@ -336,7 +337,7 @@ def verify_weyl(n, trials=25, seed=0):
 
     if n <= 4:
         group = enumerate_group(n)
-        rep.add("group order", len(group) == (2**n) * _factorial(n), f"|W| = {len(group)}")
+        rep.add("group order", len(group) == (2**n) * math.factorial(n), f"|W| = {len(group)}")
         rep.add(
             "length vs reduced words",
             all(length(w) == len(some_reduced_word(w)) for w in group),
@@ -414,10 +415,3 @@ def verify_weyl(n, trials=25, seed=0):
     rep.add("action preserves degree", ok)
 
     return rep
-
-
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out

@@ -153,6 +153,13 @@ def test_solomon_command(capsys):
     assert len(payload["J"]) == 2
 
 
+@pytest.mark.parametrize("command", ["parse", "nh"])
+@pytest.mark.parametrize("text", ["", "+", "x1 ++ x2", "x1 - -x2", "x1 +"])
+def test_misplaced_signs_are_exit_one(capsys, command, text):
+    assert cli.main([command, "--n", "2", "--", text]) == 1
+    assert "expected a term" in capsys.readouterr().err
+
+
 def test_parse_canonicalizes(capsys):
     code, out = run(capsys, ["parse", "--n", "2", "w2*w1 + x1*x1"])
     assert code == 0

@@ -1,9 +1,12 @@
 """Ring arithmetic, text and JSON round-trips, gradings, exact division."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilheckeb import (
     BIDEG,
@@ -93,6 +96,37 @@ def test_parse_rejects():
         parse("w1*dx2", 2)
     with pytest.raises(ValueError):
         parse("x1 @ x2", 2)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "expected a term, found end of input"),
+    (" ", "expected a term, found end of input"),
+    ("+", "expected a term, found '+'"),
+    ("-", "expected a term after '-', found end of input"),
+    ("x1 ++ x2", "expected a term after '+', found '+'"),
+    ("x1 - -x2", "expected a term after '-', found '-'"),
+    ("x1 +", "expected a term after '+', found end of input"),
+])
+def test_parse_rejects_misplaced_signs(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse(text, 2)
+
+
+@st.composite
+def polys(draw, n):
+    family = draw(st.sampled_from([OMEGA, DX]))
+    term = st.tuples(
+        st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
+        st.tuples(*[st.integers(0, 3)] * n),
+        st.sets(st.integers(1, n)).map(lambda m: tuple(sorted(m))),
+    )
+    return ExtPoly.from_terms(n, draw(st.lists(term, max_size=4)), family)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(polys))
+def test_parse_inverts_render(f):
+    assert parse(render(f), f.nvars, f.family) == f
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -20,9 +20,10 @@ from nilheckeb import (
     pbw_well_formed,
     random_poly,
     render_nh,
+    schubert,
     verify_presentation,
 )
-from nilheckeb.nilhecke import _random_nh
+from nilheckeb.nilhecke import _detects_nonzero, _random_nh
 
 
 def dee(i, n):
@@ -107,6 +108,33 @@ def test_suite_green(n):
     assert rep.passed, str(rep)
 
 
+def test_suite_green_at_rank_four():
+    rep = verify_presentation(4, trials=10, seed=0)
+    assert rep.passed, str(rep)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_faithfulness_probe_detects_every_basis_operator(n):
+    for w in enumerate_group(n):
+        assert _detects_nonzero(NHElement.dee(w)), w.window
+
+
+def test_schubert_probe_sees_only_its_own_shortest_term():
+    # S_u for u = s_1 s_2 is killed by D(2,1), which has the same length,
+    # and by the longer D(1,2,3); only the x1*D(1,2) term acts on it.
+    n = 3
+    u = from_word((1, 2), n)
+    a = parse_nh("D(2,1) + x1*D(1,2) + D(1,2,3)", n)
+    assert nh_act(a, schubert(u, n)) == nh_act(parse_nh("x1*D(1,2)", n), schubert(u, n))
+    assert _detects_nonzero(a)
+
+
+@pytest.mark.parametrize("text", ["", "+", "-", "x1*D(1) ++ D(2)", "D(1) - -x1", "D(1) +"])
+def test_parse_rejects_misplaced_signs(text):
+    with pytest.raises(ValueError, match="expected a term"):
+        parse_nh(text, 2)
+
+
 def test_parse_multiplies_factors_in_order():
     n = 2
     x1, x2 = NHElement.x(1, n), NHElement.x(2, n)
@@ -175,3 +203,9 @@ def test_product_acts_as_composition(args):
 def test_product_is_associative(args):
     a, b, c = args
     assert nh_mul(nh_mul(a, b), c) == nh_mul(a, nh_mul(b, c))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(elements))
+def test_parse_inverts_render(a):
+    assert parse_nh(render_nh(a), a.nvars) == a
