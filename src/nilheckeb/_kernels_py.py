@@ -30,6 +30,19 @@ def odd_merge(ma, mb):
     return (1 if inv % 2 == 0 else -1), mask
 
 
+def accumulate(out, key, c):
+    """Add ``c`` to ``out[key]`` in place, dropping the key if it cancels."""
+    v = out.get(key)
+    if v is None:
+        out[key] = c
+    else:
+        v = v + c
+        if v:
+            out[key] = v
+        else:
+            del out[key]
+
+
 def add_terms(a, b):
     out = dict(a)
     for k, c in b.items():

@@ -270,6 +270,11 @@ _DISPATCH = {
 
 def main(argv=None):
     ap = build_parser()
+    # The only one-dash option is -h, so any other token with one leading
+    # dash is an expression such as -x1; a space keeps argparse from
+    # reading it as an option.
+    argv = [" " + a if a[:1] == "-" and a[1:2] not in ("", "-") and a != "-h" else a
+            for a in (sys.argv[1:] if argv is None else argv)]
     ns = ap.parse_args(argv)
     if ns.command is None:
         ap.print_usage(sys.stderr)

@@ -14,8 +14,6 @@ from fractions import Fraction
 from .extpoly import OMEGA, XDEG, ExtPoly, LinearForm, degree, exact_div_linear, random_poly
 from .report import SuiteReport
 from .weylb import (
-    SignedPerm,
-    act,
     act_gen,
     compose,
     from_word,
@@ -48,11 +46,7 @@ def demazure_word(word, f):
 
 def demazure_w(w, f):
     """The operator of a group element, via any reduced word."""
-    if isinstance(w, SignedPerm):
-        word = some_reduced_word(w)
-    else:
-        word = tuple(w)
-    return demazure_word(word, f)
+    return demazure_word(some_reduced_word(w), f)
 
 
 def verify_nil_relations(n, trials=25, seed=0):

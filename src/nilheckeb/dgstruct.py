@@ -80,18 +80,11 @@ def d_apply_nh(dN, a):
     """
     if not isinstance(a, NHElement):
         raise TypeError("expected an operator-algebra element")
-    n = a.nvars
     out = {}
-    for (xe, mask, win), c in a.terms.items():
-        img = d_apply(dN, ExtPoly(n, OMEGA, {(xe, mask): c}))
-        for (xe2, m2), c2 in img.terms.items():
-            key = (xe2, m2, win)
-            v = out.get(key, Fraction(0)) + c2
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return NHElement(n, out)
+    for win, poly in a.parts().items():
+        for (xe, mask), c in d_apply(dN, poly).terms.items():
+            out[(xe, mask, win)] = c
+    return NHElement(a.nvars, out)
 
 
 def _omega_parity(f):
@@ -202,11 +195,7 @@ def _random_parity_nh(n, rng):
 
 
 def _omega_parity_nh(a):
-    seen = set()
-    for window in a.windows():
-        p = _omega_parity(a.poly_part(window))
-        if p is not None:
-            seen.add(p)
+    seen = {_omega_parity(poly) for poly in a.parts().values()} - {None}
     if not seen:
         return 0
     return seen.pop() if len(seen) == 1 else None

@@ -377,21 +377,24 @@ _FACTOR_RE = re.compile(r"^(?:(\d+(?:/\d+)?)|x(\d+)(?:\^(\d+))?|w(\d+)|dx(\d+))$
 _SIGN_RE = re.compile(r"([+-])")
 
 
-def _render_term(xexp, mask, coeff, family):
-    factors = []
-    for i, e in enumerate(xexp, start=1):
-        if e == 1:
-            factors.append(f"x{i}")
-        elif e > 1:
-            factors.append(f"x{i}^{e}")
-    for i in mask:
-        factors.append(f"{family}{i}")
-    mag = abs(coeff)
-    if not factors:
-        return str(mag)
-    if mag != 1:
-        factors.insert(0, str(mag))
-    return "*".join(factors)
+def monomial_factors(xexp, mask, family):
+    """The factors ``x_i`` / ``x_i^e`` and odd generators of one monomial."""
+    factors = [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(xexp, start=1) if e]
+    factors.extend(f"{family}{i}" for i in mask)
+    return factors
+
+
+def join_terms(pieces):
+    """Render ``(coeff, factors)`` pairs as a signed sum ``a + 2*b - c``; ``0`` if none."""
+    out = []
+    for c, factors in pieces:
+        mag = abs(c)
+        body = "*".join(factors if mag == 1 and factors else [str(mag), *factors])
+        if out:
+            out.append(("- " if c < 0 else "+ ") + body)
+        else:
+            out.append(("-" if c < 0 else "") + body)
+    return " ".join(out) or "0"
 
 
 def _term_sort_key(key):
@@ -401,18 +404,8 @@ def _term_sort_key(key):
 
 def render(f):
     """Canonical text form; inverse of parse()."""
-    if not f.terms:
-        return "0"
     keys = sorted(f.terms, key=_term_sort_key)
-    pieces = []
-    for idx, key in enumerate(keys):
-        c = f.terms[key]
-        body = _render_term(key[0], key[1], c, f.family)
-        if idx == 0:
-            pieces.append(("-" if c < 0 else "") + body)
-        else:
-            pieces.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(pieces)
+    return join_terms((f.terms[k], monomial_factors(*k, f.family)) for k in keys)
 
 
 def split_terms(text):

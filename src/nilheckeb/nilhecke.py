@@ -23,7 +23,8 @@ from fractions import Fraction
 
 from . import _kernels_py as _k
 from .demazure import demazure, demazure_w
-from .extpoly import OMEGA, ExtPoly, parse_term, random_poly, split_terms
+from .extpoly import (OMEGA, ExtPoly, join_terms, monomial_factors, parse_term,
+                      random_poly, split_terms)
 from .report import SuiteReport
 from .schur import schubert
 from .weylb import (
@@ -104,17 +105,12 @@ class NHElement:
     def __bool__(self):
         return bool(self.terms)
 
-    def poly_part(self, window):
-        """The ExtPoly coefficient of D_w for the given window."""
-        t = {
-            (e, m): c
-            for (e, m, win), c in self.terms.items()
-            if win == tuple(window)
-        }
-        return ExtPoly(self.nvars, OMEGA, t)
-
-    def windows(self):
-        return sorted({win for (_, _, win) in self.terms})
+    def parts(self):
+        """The element as {window of w: ExtPoly coefficient of D_w}."""
+        parts = {}
+        for (e, m, win), c in self.terms.items():
+            parts.setdefault(win, {})[(e, m)] = c
+        return {win: ExtPoly(self.nvars, OMEGA, t) for win, t in parts.items()}
 
     def _check(self, other):
         if self.nvars != other.nvars:
@@ -170,23 +166,6 @@ class NHElement:
     def __str__(self):
         return render_nh(self)
 
-    def xdeg(self):
-        """Common degree (x: 1, w_i: -2i, D_w: -l(w)), or None."""
-        degs = set()
-        for (e, m, win), _ in self.terms.items():
-            degs.add(sum(e) - sum(2 * i for i in m) - length(SignedPerm(win)))
-        if len(degs) != 1:
-            return None
-        return degs.pop()
-
-
-def _by_window(a):
-    """The parts of an element as {window of w: ExtPoly coefficient of D_w}."""
-    parts = {}
-    for (e, m, win), c in a.terms.items():
-        parts.setdefault(win, {})[(e, m)] = c
-    return {win: ExtPoly(a.nvars, OMEGA, t) for win, t in parts.items()}
-
 
 def _push_through(word, pieces):
     """Rewrite D_word * sum(poly * D_t) as a sum of poly * D_t.
@@ -221,24 +200,12 @@ def nh_mul(a, b):
     a._check(b)
     n = a.nvars
     out = {}
-
-    def put(key, c):
-        v = out.get(key)
-        if v is None:
-            out[key] = c
-        else:
-            v = v + c
-            if v:
-                out[key] = v
-            else:
-                del out[key]
-
-    parts_b = _by_window(b)
-    for wa, mono in _by_window(a).items():
+    parts_b = b.parts()
+    for wa, mono in a.parts().items():
         word_u = some_reduced_word(SignedPerm(wa))
         for t, poly in _push_through(word_u, parts_b).items():
             for (e, m), c in (mono * poly).terms.items():
-                put((e, m, t), c)
+                _k.accumulate(out, (e, m, t), c)
     return NHElement(n, out)
 
 
@@ -248,12 +215,11 @@ def nh_act(a, f):
         raise ValueError("the algebra acts on the w family")
     if a.nvars != f.nvars:
         raise ValueError("rank mismatch")
-    n = a.nvars
-    out = ExtPoly.zero(n)
-    for (e, m, win), c in a.terms.items():
+    out = ExtPoly.zero(a.nvars)
+    for win, poly in a.parts().items():
         g = demazure_w(SignedPerm(win), f)
         if g:
-            out = out + ExtPoly(n, OMEGA, {(e, m): c}) * g
+            out = out + poly * g
     return out
 
 
@@ -263,40 +229,19 @@ _D_RE = re.compile(r"^D\(\s*(\d+(?:\s*,\s*\d+)*)?\s*\)$")
 
 
 def render_nh(a):
-    if not a.terms:
-        return "0"
     words = {win: some_reduced_word(SignedPerm(win)) for win in {k[2] for k in a.terms}}
 
     def sort_key(key):
         e, m, win = key
         return (len(words[win]), win, m, tuple(-v for v in e))
 
-    pieces = []
-    for idx, key in enumerate(sorted(a.terms, key=sort_key)):
-        e, m, win = key
-        c = a.terms[key]
-        factors = []
-        for i, p in enumerate(e, start=1):
-            if p == 1:
-                factors.append(f"x{i}")
-            elif p > 1:
-                factors.append(f"x{i}^{p}")
-        for i in m:
-            factors.append(f"w{i}")
+    def factors(e, m, win):
+        out = monomial_factors(e, m, OMEGA)
         if words[win]:
-            factors.append("D(" + ",".join(map(str, words[win])) + ")")
-        mag = abs(c)
-        if not factors:
-            body = str(mag)
-        else:
-            if mag != 1:
-                factors.insert(0, str(mag))
-            body = "*".join(factors)
-        if idx == 0:
-            pieces.append(("-" if c < 0 else "") + body)
-        else:
-            pieces.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(pieces)
+            out.append("D(" + ",".join(map(str, words[win])) + ")")
+        return out
+
+    return join_terms((a.terms[k], factors(*k)) for k in sorted(a.terms, key=sort_key))
 
 
 def parse_nh(text, nvars):

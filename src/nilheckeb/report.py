@@ -1,24 +1,24 @@
 """Small pass/fail report containers used by the verification suites."""
 
-from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-
-@dataclass
 class CheckResult:
-    check: str
-    passed: bool
-    detail: str = ""
+    """One named check: whether it passed, and an optional detail."""
+
+    def __init__(self, check, passed, detail=""):
+        self.check = check
+        self.passed = passed
+        self.detail = detail
 
     def to_json(self):
         return {"check": self.check, "pass": self.passed, "detail": self.detail}
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    checks: list[CheckResult] = field(default_factory=list)
+    """The checks of one suite, in the order they ran."""
+
+    def __init__(self, suite):
+        self.suite = suite
+        self.checks = []
 
     def add(self, check, passed, detail=""):
         self.checks.append(CheckResult(check, bool(passed), detail))

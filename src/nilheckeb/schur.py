@@ -24,7 +24,6 @@ from .demazure import demazure, demazure_w
 from .extpoly import OMEGA, XDEG, ExtPoly, degree, random_poly
 from .report import SuiteReport
 from .weylb import (
-    SignedPerm,
     compose,
     enumerate_group,
     inverse,
@@ -60,26 +59,23 @@ def homog_B(ell, i, j, nvars):
         return ExtPoly.one(nvars)
     if not 1 <= i <= j <= nvars:
         raise ValueError(f"bad variable window {i}..{j}")
-    terms = {}
-    for combo in itertools.combinations_with_replacement(range(i, j + 1), ell):
-        e = [0] * nvars
-        for v in combo:
-            e[v - 1] += 2
-        terms[(tuple(e), ())] = Fraction(1)
-    return ExtPoly(nvars, OMEGA, terms)
+    return _square_monomials(itertools.combinations_with_replacement(range(i, j + 1), ell), nvars)
 
 
 def elem_squares(k, j, nvars):
     """Elementary symmetric polynomial e_k in the squares x_1^2..x_j^2."""
     if k < 0 or k > j:
         return ExtPoly.zero(nvars)
-    if k == 0:
-        return ExtPoly.one(nvars)
+    return _square_monomials(itertools.combinations(range(1, j + 1), k), nvars)
+
+
+def _square_monomials(combos, nvars):
+    """The sum of x_(v_1)^2 ... x_(v_k)^2 over the index tuples v in combos."""
     terms = {}
-    for combo in itertools.combinations(range(1, j + 1), k):
+    for combo in combos:
         e = [0] * nvars
         for v in combo:
-            e[v - 1] = 2
+            e[v - 1] += 2
         terms[(tuple(e), ())] = Fraction(1)
     return ExtPoly(nvars, OMEGA, terms)
 
@@ -229,31 +225,26 @@ def format_poincare(coeffs):
 # -- decomposition over the invariant ring ------------------------------
 
 
-def _lambda_monomials(n, deg, gens=None):
+def exponents(degs, total):
+    """Exponent tuples e with sum(e_i * degs_i) = total, in lexicographic order."""
+    if not degs:
+        return [()] if total == 0 else []
+    return [
+        (k,) + rest
+        for k in range(total // degs[0] + 1)
+        for rest in exponents(degs[1:], total - k * degs[0])
+    ]
+
+
+def _lambda_monomials(n, deg, gens):
     """All monomials in the invariant generators of the given x-degree."""
-    if gens is None:
-        gens = default_invariant_gens(n)
-    degs = [2 * (n - i + 1) for i in range(1, n + 1)]
     out = []
-
-    def rec(idx, remaining, acc):
-        if remaining == 0:
-            out.append(acc)
-            return
-        if idx == len(gens):
-            return
-        d = degs[idx]
-        k = 0
-        while k * d <= remaining:
-            term = acc
+    for expo in exponents([2 * (n - i + 1) for i in range(1, n + 1)], deg):
+        mono = ExtPoly.one(n)
+        for g, k in zip(gens, expo):
             for _ in range(k):
-                term = term * gens[idx]
-            rec(idx + 1, remaining - k * d, term)
-            k += 1
-
-    if deg < 0:
-        return []
-    rec(0, deg, ExtPoly.one(n))
+                mono = mono * g
+        out.append(mono)
     return out
 
 
@@ -367,31 +358,21 @@ def verify_schur(n, trials=10, seed=0):
     rep.add("product sign rule", ok)
 
     ok = True
-    count = 0
-    vectors = []
-    allkeys = set()
     basis = []
     for k in range(n + 1):
         layer = invariant_schur_basis(n, k)
-        count += len(layer)
         ok = ok and len(layer) == math.comb(n, k)
         for beta, s in layer:
             ok = ok and is_invariant(s)
             basis.append(s)
-            allkeys |= set(s.terms)
-    allkeys = sorted(allkeys)
-    for s in basis:
-        vectors.append([s.terms.get(k, Fraction(0)) for k in allkeys])
-    ok = ok and linalg.rank(vectors) == count == 2**n
+    ok = ok and linalg.span_rank(basis) == len(basis) == 2**n
     rep.add("invariant basis: invariance, count, independence", ok)
 
     ok = True
     group = enumerate_group(n)
     schubs = [schubert(w, n) for w in group]
     ok = ok and all(degree(s, XDEG) == length(w) for w, s in zip(group, schubs))
-    keys = sorted({k for s in schubs for k in s.terms})
-    vecs = [[s.terms.get(k, Fraction(0)) for k in keys] for s in schubs]
-    ok = ok and linalg.rank(vecs) == len(group)
+    ok = ok and linalg.span_rank(schubs) == len(group)
     rep.add("Schubert degrees and independence", ok)
 
     rep.add("Poincare enumeration equals product formula", poincare(n) == poincare_formula(n))

@@ -19,6 +19,7 @@ from collections import Counter
 from fractions import Fraction
 
 from . import linalg
+from ._kernels_py import accumulate
 from .demazure import demazure, demazure_word
 from .extpoly import (
     DX,
@@ -33,7 +34,7 @@ from .extpoly import (
     render,
 )
 from .report import SuiteReport
-from .schur import default_invariant_gens, invariant_schur_basis, is_invariant
+from .schur import default_invariant_gens, exponents, invariant_schur_basis, is_invariant
 from .weylb import act_gen
 
 __all__ = [
@@ -49,7 +50,6 @@ __all__ = [
     "validate_admissible",
     "p_matrix",
     "gamma",
-    "rho",
     "check_char1",
     "check_char2",
     "mixing_matrix",
@@ -73,12 +73,7 @@ def exterior_d(f):
                 continue
             ee = list(e)
             ee[i] -= 1
-            key = (tuple(ee), (i + 1,))
-            v = out.get(key, Fraction(0)) + c * e[i]
-            if v:
-                out[key] = v
-            else:
-                del out[key]
+            accumulate(out, (tuple(ee), (i + 1,)), c * e[i])
     return ExtPoly(n, DX, out)
 
 
@@ -162,17 +157,20 @@ class LocalizedPoly:
             return LocalizedPoly.from_poly(ExtPoly.const(self.nvars, other, DX))
         return None
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+    def _over_common_denom(self, other):
+        """Both numerators over the least common denominator, and that denominator."""
         a, b = Counter(self.denom), Counter(other.denom)
         lcm = a | b
         fa = _denom_poly((lcm - a).elements(), self.nvars)
         fb = _denom_poly((lcm - b).elements(), self.nvars)
-        return LocalizedPoly(
-            self.num * fa + other.num * fb, tuple(lcm.elements())
-        ).cancel()
+        return self.num * fa, other.num * fb, tuple(lcm.elements())
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        num_a, num_b, denom = self._over_common_denom(other)
+        return LocalizedPoly(num_a + num_b, denom).cancel()
 
     __radd__ = __add__
 
@@ -208,10 +206,8 @@ class LocalizedPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = Counter(self.denom), Counter(other.denom)
-        fa = _denom_poly(((a | b) - a).elements(), self.nvars)
-        fb = _denom_poly(((a | b) - b).elements(), self.nvars)
-        return self.num * fa == other.num * fb
+        num_a, num_b, _ = self._over_common_denom(other)
+        return num_a == num_b
 
     __hash__ = None
 
@@ -508,21 +504,6 @@ def gamma(k, A):
     )
 
 
-def rho(k, A):
-    """Row k+1 of A moved to row k, zeros elsewhere."""
-    size = A.size
-    if not 1 <= k <= size - 1:
-        raise ValueError(f"index {k} out of range 1..{size - 1}")
-    zero = ExtPoly.zero(A.nvars)
-    return PolyMatrix(
-        [
-            [A.entries[k][j] if i == k - 1 else zero for j in range(size)]
-            for i in range(size)
-        ],
-        A.nvars,
-    )
-
-
 def _matrix_demazure(i, A):
     return A.map(lambda e: demazure(i, e))
 
@@ -549,16 +530,9 @@ def check_char1(p):
     rep = SuiteReport("char1")
     P = p_matrix(p)
 
-    ok = True
-    for k in range(1, n):
-        lhs = _matrix_demazure(k + 1, _matrix_demazure(k, P))
-        ok = ok and lhs == gamma(k, P)
-    rep.add("double divided difference shifts the columns", ok)
-
-    rep.add(
-        "the sign-change divided difference kills the matrix",
-        _matrix_demazure(n, P).is_zero(),
-    )
+    shifts, killed = _column_conditions(P)
+    rep.add("double divided difference shifts the columns", shifts)
+    rep.add("the sign-change divided difference kills the matrix", killed)
 
     ok = P.entries == [
         [demazure_word(chain_word(j + 1, n), P.entries[i][n - 1]) for j in range(n)]
@@ -586,16 +560,13 @@ def check_char1(p):
     return rep
 
 
-def _vec_demazure(k, vec):
-    return [demazure(k, v) for v in vec]
-
-
-def _vec_is_zero(vec):
-    return all(v.is_zero() for v in vec)
-
-
-def _vec_eq(u, v):
-    return all(a == b for a, b in zip(u, v))
+def _column_conditions(P):
+    """Whether d_(k+1) d_k P = gamma(k, P) for every k < n, and whether d_n P = 0."""
+    n = P.nvars
+    shifts = all(
+        _matrix_demazure(k + 1, _matrix_demazure(k, P)) == gamma(k, P) for k in range(1, n)
+    )
+    return shifts, _matrix_demazure(n, P).is_zero()
 
 
 def check_char2(P, theta):
@@ -609,19 +580,17 @@ def check_char2(P, theta):
     theta = list(theta)
     rep = SuiteReport("char2")
 
-    cond1 = _matrix_demazure(n, P).is_zero()
-    for k in range(1, n):
-        lhs = _matrix_demazure(k + 1, _matrix_demazure(k, P))
-        cond1 = cond1 and lhs == gamma(k, P)
+    shifts, killed = _column_conditions(P)
+    cond1 = killed and shifts
 
     xi = P.mul_vector(theta)
     cond2 = all(
         demazure(k, x).is_zero() for k in range(1, n + 1) for x in xi
     )
 
-    cond3 = _vec_is_zero(_vec_demazure(n, theta))
+    cond3 = all(demazure(n, v).is_zero() for v in theta)
     for k in range(1, n):
-        imgs = _vec_demazure(k, theta)
+        imgs = [demazure(k, v) for v in theta]
         fam = theta[0].family
         factor = -(
             ExtPoly.x(k, n, fam) + ExtPoly.x(k + 1, n, fam)
@@ -697,13 +666,7 @@ def verify_J(n, fgens=None, p=None, trials=8, seed=0):
     J = build_J(fgens, p)
     xf = lambda i: ExtPoly.x(i, n, DX)
 
-    ok = True
-    for j in range(1, n + 1):
-        img = J.of_generator(j)
-        ok = ok and not img.is_zero()
-        for (e, mask), _ in img.terms.items():
-            ok = ok and len(mask) == 1 and sum(e) == 2 * (n - j) + 1
-    rep.add("generator images are bihomogeneous of the right degrees", ok)
+    rep.add("generator images are bihomogeneous of the right degrees", _images_bihomogeneous(J))
 
     ok = True
     for j in range(1, n + 1):
@@ -720,19 +683,9 @@ def verify_J(n, fgens=None, p=None, trials=8, seed=0):
         ok = ok and demazure_dx(n, img).is_zero()
     rep.add("divided differences of the images follow the generator table", ok)
 
-    if p is None:
-        p = default_admissible(n)
-    P = p_matrix(p)
-    ok = True
-    for k in range(1, n + 1):
-        M = mixing_matrix(k, P)
-        for j in range(1, n + 1):
-            got = demazure_dx(k, LocalizedPoly.from_poly(J.of_generator(j)))
-            want = ExtPoly.zero(n, DX)
-            for t in range(1, n + 1):
-                want = want + M[j, t].as_family(DX) * J.of_generator(t)
-            ok = ok and got == LocalizedPoly.from_poly(want)
-    rep.add("divided differences of the images follow the mixing matrix", ok)
+    P = p_matrix(default_admissible(n) if p is None else p)
+    rep.add("divided differences of the images follow the mixing matrix",
+            _images_follow_mixing(J, P))
 
     ok = True
     for j in range(1, n + 1):
@@ -760,16 +713,9 @@ def verify_J(n, fgens=None, p=None, trials=8, seed=0):
     rep.add("images of invariants are invariant", ok)
 
     if n == 2:
-        keys = set()
-        vecs = []
-        imgs = [J.apply(s) for s in basis]
-        for g in imgs:
-            keys |= set(g.terms)
-        keys = sorted(keys)
-        vecs = [[g.terms.get(k, Fraction(0)) for k in keys] for g in imgs]
         rep.add(
             "images of the invariant basis stay independent",
-            linalg.rank(vecs) == len(basis),
+            linalg.span_rank([J.apply(s) for s in basis]) == len(basis),
         )
 
         golden = J.of_generator(2) == exterior_d(fgens[1])
@@ -783,47 +729,42 @@ def verify_J(n, fgens=None, p=None, trials=8, seed=0):
     return rep
 
 
+def _images_bihomogeneous(J):
+    """Each J(w_j) is nonzero, with one dx letter and x-degree 2(n-j)+1 per term."""
+    n = J.nvars
+    for j in range(1, n + 1):
+        img = J.of_generator(j)
+        if not img or any(len(mask) != 1 or sum(e) != 2 * (n - j) + 1 for e, mask in img.terms):
+            return False
+    return True
+
+
+def _images_follow_mixing(J, P):
+    """d_k J(w_j) = sum_t M[j, t] J(w_t) for every k, with M the mixing matrix of k."""
+    n = J.nvars
+    for k in range(1, n + 1):
+        M = mixing_matrix(k, P)
+        for j in range(1, n + 1):
+            got = demazure_dx(k, LocalizedPoly.from_poly(J.of_generator(j)))
+            want = ExtPoly.zero(n, DX)
+            for t in range(1, n + 1):
+                want = want + M[j, t].as_family(DX) * J.of_generator(t)
+            if got != LocalizedPoly.from_poly(want):
+                return False
+    return True
+
+
 # -- invariant dimension comparison -------------------------------------
 
 
-def _dx_monomials(n, a, b):
-    """All (exponent, mask) keys of x-degree a with b dx letters."""
-    masks = list(itertools.combinations(range(1, n + 1), b))
-    exps = []
-
-    def rec(i, left, acc):
-        if i == n:
-            if left == 0:
-                exps.append(tuple(acc))
-            return
-        for e in range(left + 1):
-            rec(i + 1, left - e, acc + [e])
-
-    rec(0, a, [])
-    return [(e, m) for e in exps for m in masks]
-
-
 def _invariant_dimension(n, a, b):
-    keys = _dx_monomials(n, a, b)
-    index = {k: t for t, k in enumerate(keys)}
-    rows = []
-    for i in range(1, n + 1):
-        for key in keys:
-            f = ExtPoly(n, DX, {key: Fraction(1)})
-            g = act_gen(i, f) - f
-            row = [Fraction(0)] * len(keys)
-            for kk, c in g.terms.items():
-                row[index[kk]] = c
-            rows.append(row)
-    return len(keys) - linalg.rank(rows)
-
-
-def _span_dimension(vecs_keys):
-    keys = sorted({k for g in vecs_keys for k in g.terms})
-    if not keys:
-        return 0
-    vecs = [[g.terms.get(k, Fraction(0)) for k in keys] for g in vecs_keys]
-    return linalg.rank(vecs)
+    """Dimension of the s_i-invariant dx polynomials of x-degree a with b dx letters."""
+    masks = list(itertools.combinations(range(1, n + 1), b))
+    monos = [
+        ExtPoly(n, DX, {(e, m): Fraction(1)}) for e in exponents((1,) * n, a) for m in masks
+    ]
+    moved = [act_gen(i, f) - f for i in range(1, n + 1) for f in monos]
+    return len(monos) - linalg.span_rank(moved)
 
 
 def solomon_compare(n, max_bidegree=(6, None)):
@@ -843,11 +784,8 @@ def solomon_compare(n, max_bidegree=(6, None)):
             dim_inv = _invariant_dimension(n, a, b)
             prods = []
             for T in itertools.combinations(range(n), b):
-                dx_deg = sum(fdegs[t] - 1 for t in T)
-                rest = a - dx_deg
-                if rest < 0:
-                    continue
-                for expo in _exponents(fdegs, rest):
+                rest = a - sum(fdegs[t] - 1 for t in T)
+                for expo in exponents(fdegs, rest):
                     g = ExtPoly.one(n, DX)
                     for i, e in enumerate(expo):
                         for _ in range(e):
@@ -856,30 +794,12 @@ def solomon_compare(n, max_bidegree=(6, None)):
                         g = g * dfs[t]
                     if not g.is_zero():
                         prods.append(g)
-            dim_span = _span_dimension(prods)
+            dim_span = linalg.span_rank(prods)
             rep.add(
                 f"bidegree ({a},{b}): invariant dimension {dim_inv}",
                 dim_inv == dim_span,
             )
     return rep
-
-
-def _exponents(degs, total):
-    """Exponent tuples with sum(e_i * degs_i) = total."""
-    out = []
-
-    def rec(i, left, acc):
-        if i == len(degs):
-            if left == 0:
-                out.append(tuple(acc))
-            return
-        e = 0
-        while e * degs[i] <= left:
-            rec(i + 1, left - e * degs[i], acc + [e])
-            e += 1
-
-    rec(0, total, [])
-    return out
 
 
 # -- module verification ------------------------------------------------
@@ -966,24 +886,8 @@ def verify_solomon(n, trials=8, seed=0):
         and checks["no two conditions hold without the third"],
     )
 
-    ok = True
-    for j in range(1, n + 1):
-        img = J.of_generator(j)
-        ok = ok and not img.is_zero()
-        for (e, mask), _ in img.terms.items():
-            ok = ok and len(mask) == 1 and sum(e) == 2 * (n - j) + 1
-    rep.add("image bidegrees", ok)
-
-    ok = True
-    for k in range(1, n + 1):
-        M = mixing_matrix(k, P)
-        for j in range(1, n + 1):
-            got = demazure_dx(k, LocalizedPoly.from_poly(J.of_generator(j)))
-            want = ExtPoly.zero(n, DX)
-            for t in range(1, n + 1):
-                want = want + M[j, t].as_family(DX) * J.of_generator(t)
-            ok = ok and got == LocalizedPoly.from_poly(want)
-    rep.add("image derivatives follow the mixing matrix", ok)
+    rep.add("image bidegrees", _images_bihomogeneous(J))
+    rep.add("image derivatives follow the mixing matrix", _images_follow_mixing(J, P))
 
     rep.add("rank-two equivariance suite", verify_J(2, trials=trials, seed=seed).passed)
     if n >= 3:

@@ -20,8 +20,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import re
 
+from ._kernels_py import accumulate
 from .extpoly import DX, OMEGA, XDEG, ExtPoly, degree, random_poly
 from .report import SuiteReport
 
@@ -43,8 +43,6 @@ __all__ = [
     "enumerate_group",
     "act",
     "act_gen",
-    "render_perm",
-    "parse_perm",
     "verify_weyl",
 ]
 
@@ -244,24 +242,12 @@ def act_gen(i, f):
     if not 1 <= i <= n:
         raise ValueError(f"generator index {i} out of range 1..{n}")
     out = {}
-
-    def put(key, c):
-        v = out.get(key)
-        if v is None:
-            out[key] = c
-        else:
-            v = v + c
-            if v:
-                out[key] = v
-            else:
-                del out[key]
-
     if i == n:
         for (e, m), c in f.terms.items():
             sign = -1 if e[n - 1] % 2 else 1
             if f.family == DX and n in m:
                 sign = -sign
-            put((e, m), c if sign > 0 else -c)
+            accumulate(out, (e, m), c if sign > 0 else -c)
         return ExtPoly(n, f.family, out)
 
     for (e, m), c in f.terms.items():
@@ -269,25 +255,25 @@ def act_gen(i, f):
         ee[i - 1], ee[i] = ee[i], ee[i - 1]
         ee = tuple(ee)
         if f.family == OMEGA:
-            put((ee, m), c)
+            accumulate(out, (ee, m), c)
             if i in m and (i + 1) not in m:
                 shifted = tuple(sorted(x if x != i else i + 1 for x in m))
                 plus = list(ee)
                 plus[i - 1] += 2
                 minus = list(ee)
                 minus[i] += 2
-                put((tuple(plus), shifted), c)
-                put((tuple(minus), shifted), -c)
+                accumulate(out, (tuple(plus), shifted), c)
+                accumulate(out, (tuple(minus), shifted), -c)
         else:
             has_i, has_j = i in m, (i + 1) in m
             if has_i and has_j:
-                put((ee, m), -c)
+                accumulate(out, (ee, m), -c)
             elif has_i:
-                put((ee, tuple(sorted(x if x != i else i + 1 for x in m))), c)
+                accumulate(out, (ee, tuple(sorted(x if x != i else i + 1 for x in m))), c)
             elif has_j:
-                put((ee, tuple(sorted(x if x != i + 1 else i for x in m))), c)
+                accumulate(out, (ee, tuple(sorted(x if x != i + 1 else i for x in m))), c)
             else:
-                put((ee, m), c)
+                accumulate(out, (ee, m), c)
     return ExtPoly(n, f.family, out)
 
 
@@ -302,29 +288,6 @@ def act(w, f):
     if w.n != f.nvars:
         raise ValueError("rank mismatch")
     return act_word(some_reduced_word(w), f)
-
-
-# -- text form ----------------------------------------------------------
-
-_PERM_RE = re.compile(r"^\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\)$")
-
-
-def render_perm(w):
-    return "(" + ",".join(str(v) for v in w.window) + ")"
-
-
-def parse_perm(text):
-    m = _PERM_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"cannot parse window {text!r}")
-    return SignedPerm(tuple(int(p) for p in m.group(1).split(",")))
-
-
-def parse_word(text):
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(p) for p in text.split(","))
 
 
 # -- verification suite -------------------------------------------------

@@ -164,3 +164,25 @@ def test_parse_canonicalizes(capsys):
     code, out = run(capsys, ["parse", "--n", "2", "w2*w1 + x1*x1"])
     assert code == 0
     assert out == "x1^2 - w1*w2\n"
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["parse", "--n", "2", "-x1"], "-x1\n"),
+    (["parse", "--n", "2", "--", "-x1"], "-x1\n"),
+    (["nh", "--n", "2", "-x1", "-D(1)"], "x1*D(1)\n"),
+    (["dg", "--n", "2", "--N", "2", "-w1"], "x1^4\n"),
+], ids=["parse", "parse-after-dashes", "nh", "dg"])
+def test_expression_may_start_with_minus(capsys, argv, want):
+    assert run(capsys, argv) == (0, want)
+
+
+def test_dash_h_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["parse", "--n", "2", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: nhb parse")
+
+
+def test_lone_minus_is_exit_one(capsys):
+    assert cli.main(["parse", "--n", "2", "-"]) == 1
+    assert "expected a term" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Operator algebra: normal form, rewriting, and the polynomial action."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ import reference
 from nilheckeb import (
     NHElement,
     OMEGA,
+    SignedPerm,
     demazure_w,
     enumerate_group,
     from_word,
@@ -90,6 +92,40 @@ def test_render_sorts_by_length():
     a = parse_nh("D(1,2) + x1 + D(2)", n)
     text = render_nh(a)
     assert text.index("x1") < text.index("D(2)") < text.index("D(1,2)")
+
+
+def _mixed_element():
+    n = 2
+
+    def win(*word):
+        return from_word(word, n).window
+
+    return NHElement(n, {
+        ((1, 0), (2,), win()): Fraction(1),
+        ((0, 2), (), win(1)): Fraction(-2, 3),
+        ((0, 0), (1,), win(1)): Fraction(2, 3),
+        ((0, 0), (), win(2)): Fraction(-1),
+        ((0, 0), (), win(1, 2)): Fraction(1),
+        ((1, 1), (1, 2), win(2, 1, 2)): Fraction(-2, 3),
+    })
+
+
+def test_render_golden_multi_window():
+    assert render_nh(_mixed_element()) == (
+        "x1*w2 - D(2) - 2/3*x2^2*D(1) + 2/3*w1*D(1) + D(1,2) - 2/3*x1*x2*w1*w2*D(2,1,2)"
+    )
+
+
+def test_parts_reassemble_the_element():
+    a = _mixed_element()
+    parts = a.parts()
+    assert len(parts) == 5
+    total = NHElement.zero(a.nvars)
+    for window, poly in parts.items():
+        assert poly
+        total = total + NHElement.from_poly(poly) * NHElement.dee(SignedPerm(window))
+    assert total == a
+    assert NHElement.zero(2).parts() == {}
 
 
 def test_omega_partial_square():

@@ -1,5 +1,6 @@
 """Schur/Schubert values, the invariant basis, and graded ranks."""
 
+import itertools
 import random
 
 import pytest
@@ -24,7 +25,8 @@ from nilheckeb import (
     verify_schur,
 )
 from nilheckeb import OMEGA, ExtPoly
-from nilheckeb.linalg import rank
+from nilheckeb.linalg import rank, span_rank
+from nilheckeb.schur import exponents
 
 GOLDEN_N2 = [
     ((), (), "1"),
@@ -136,3 +138,19 @@ def test_decompose_schubert_round_trip():
 def test_suite_green(n):
     rep = verify_schur(n, trials=10, seed=0)
     assert rep.passed, str(rep)
+
+
+@pytest.mark.parametrize("degs", [(1,), (3,), (2, 4), (1, 1, 1), (6, 4, 2)])
+@pytest.mark.parametrize("total", [-3, -1, 0, 1, 5, 8])
+def test_exponents_match_brute_force(degs, total):
+    box = itertools.product(range(max(total, 0) + 1), repeat=len(degs))
+    want = [e for e in box if sum(k * d for k, d in zip(e, degs)) == total]
+    assert exponents(degs, total) == want
+
+
+def test_span_rank():
+    x1, x2 = ExtPoly.x(1, 2), ExtPoly.x(2, 2)
+    assert span_rank([]) == 0
+    assert span_rank([ExtPoly.zero(2), ExtPoly.zero(2)]) == 0
+    assert span_rank([x1 + x2, x1 - x2 * 2, x1 * 3]) == 2
+    assert span_rank([x1, x2, x1 * x2]) == 3
