@@ -47,8 +47,8 @@ def build_parser():
     ap = _Parser(prog="nhb", description=__doc__)
     sub = ap.add_subparsers(dest="command", metavar="command")
 
-    def common(p, n_required=True):
-        p.add_argument("--n", type=int, required=n_required, help="number of variables")
+    def common(p):
+        p.add_argument("--n", type=int, required=True, help="number of variables")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", help="write output to this path instead of stdout")
 
@@ -69,11 +69,10 @@ def build_parser():
 
     p = sub.add_parser("nh", help="normal form of an operator expression")
     common(p)
-    p.add_argument("expr", nargs="*",
+    p.add_argument("expr", nargs="+",
                    help="sums of products like 'x1*w2*D(1,2) + 2*D(1)*x1', each "
                         "product taken in the order written; several expressions "
                         "are multiplied left to right")
-    p.add_argument("--word", default=None, help="generator word: emit D(word) in normal form")
 
     p = sub.add_parser("dg", help="apply the differential to an expression")
     common(p)
@@ -89,7 +88,6 @@ def build_parser():
                    choices=("all", "weyl", "demazure", "nilhecke", "dg", "schur", "solomon"))
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--N", type=int, default=None, help="differential index for the dg suite")
 
     p = sub.add_parser("parse", help="parse an expression and echo its canonical form")
     common(p)
@@ -161,14 +159,9 @@ def _cmd_poincare(ns):
 
 
 def _cmd_nh(ns):
-    if bool(ns.expr) == (ns.word is not None):
-        raise ValueError("provide either expressions or --word, not both")
-    if ns.word is not None:
-        a = nilhecke.NHElement.dee_word(_csv_ints(ns.word), ns.n)
-    else:
-        a = nilhecke.parse_nh(ns.expr[0], ns.n)
-        for text in ns.expr[1:]:
-            a = nilhecke.nh_mul(a, nilhecke.parse_nh(text, ns.n))
+    a = nilhecke.parse_nh(ns.expr[0], ns.n)
+    for text in ns.expr[1:]:
+        a = nilhecke.nh_mul(a, nilhecke.parse_nh(text, ns.n))
     if ns.format == "json":
         payload = {
             "n": ns.n,
@@ -226,7 +219,7 @@ def _verify_suites(ns):
     if picked in ("all", "nilhecke"):
         out.append(nilhecke.verify_presentation(n, trials=trials, seed=seed))
     if picked in ("all", "dg"):
-        for N in ((ns.N,) if ns.N else (2, 3, 4)):
+        for N in (2, 3, 4):
             out.append(dgstruct.verify_dg(n, N, trials=trials, seed=seed))
     if picked in ("all", "schur"):
         out.append(schur.verify_schur(n, trials=trials, seed=seed))
@@ -280,6 +273,9 @@ def main(argv=None):
         ap.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
+        for option in ("n", "trials"):
+            if getattr(ns, option, 1) < 1:
+                raise ValueError(f"--{option} must be at least 1")
         return _DISPATCH[ns.command](ns)
     except (ValueError, ArithmeticError) as exc:
         print(f"nhb {ns.command}: {exc}", file=sys.stderr)

@@ -80,87 +80,55 @@ def verify_nil_relations(n, trials=25, seed=0):
     def rnd():
         return random_poly(n, OMEGA, max_xdeg=3, max_terms=4, rng=rng)
 
-    ok = True
-    for _ in range(trials):
-        f = rnd()
-        for i in range(1, n + 1):
-            ok = ok and demazure(i, demazure(i, f)).is_zero()
-    rep.add("squares vanish", ok)
-
-    ok = True
-    for _ in range(trials):
-        f = rnd()
-        for i in range(1, n):
-            for j in range(i + 2, n + 1):
-                ok = ok and demazure_word((i, j), f) == demazure_word((j, i), f)
-    rep.add("distant operators commute", ok)
-
-    ok = True
-    for _ in range(trials):
-        f = rnd()
-        for i in range(1, n - 1):
-            ok = ok and demazure_word((i, i + 1, i), f) == demazure_word((i + 1, i, i + 1), f)
-    rep.add("adjacent braid", ok)
-
+    rep.trials("squares vanish", trials,
+               lambda f: all(demazure(i, demazure(i, f)).is_zero() for i in range(1, n + 1)),
+               rnd)
+    rep.trials("distant operators commute", trials,
+               lambda f: all(demazure_word((i, j), f) == demazure_word((j, i), f)
+                             for i in range(1, n) for j in range(i + 2, n + 1)),
+               rnd)
+    rep.trials("adjacent braid", trials,
+               lambda f: all(demazure_word((i, i + 1, i), f) == demazure_word((i + 1, i, i + 1), f)
+                             for i in range(1, n - 1)),
+               rnd)
     if n >= 2:
-        ok = True
-        for _ in range(trials):
-            f = rnd()
-            ok = ok and demazure_word((n, n - 1, n, n - 1), f) == demazure_word(
-                (n - 1, n, n - 1, n), f
-            )
-        rep.add("length-4 braid with the sign operator", ok)
+        rep.trials("length-4 braid with the sign operator", trials,
+                   lambda f: demazure_word((n, n - 1, n, n - 1), f)
+                   == demazure_word((n - 1, n, n - 1, n), f),
+                   rnd)
+    rep.trials("twisted Leibniz rule", trials,
+               lambda f, g: all(demazure(i, f * g)
+                                == demazure(i, f) * g + act_gen(i, f) * demazure(i, g)
+                                for i in range(1, n + 1)),
+               rnd, rnd)
 
-    ok = True
-    for _ in range(trials):
-        f, g = rnd(), rnd()
-        for i in range(1, n + 1):
-            lhs = demazure(i, f * g)
-            rhs = demazure(i, f) * g + act_gen(i, f) * demazure(i, g)
-            ok = ok and lhs == rhs
-    rep.add("twisted Leibniz rule", ok)
+    def form(i):
+        return ExtPoly.x(i, n) - ExtPoly.x(i + 1, n) if i < n else 2 * ExtPoly.x(n, n)
 
-    ok = True
-    for _ in range(trials):
-        f = rnd()
-        for i in range(1, n + 1):
-            if i < n:
-                form = ExtPoly.x(i, n) - ExtPoly.x(i + 1, n)
-            else:
-                form = 2 * ExtPoly.x(n, n)
-            ok = ok and act_gen(i, f) == f - form * demazure(i, f)
-    rep.add("s_i = id - form * op_i", ok)
+    rep.trials("s_i = id - form * op_i", trials,
+               lambda f: all(act_gen(i, f) == f - form(i) * demazure(i, f)
+                             for i in range(1, n + 1)),
+               rnd)
+    rep.trials("images are s_i-invariant", trials,
+               lambda f: all(act_gen(i, g) == g
+                             for i in range(1, n + 1) for g in (demazure(i, f),)),
+               rnd)
+    rep.trials("degree drops by one", trials,
+               lambda f, i: all(not img or degree(img, XDEG) == d - 1
+                                for d, comp in f.homogeneous_components(XDEG).items()
+                                for img in (demazure(i, comp),)),
+               rnd, lambda: rng.randint(1, n))
 
-    ok = True
-    for _ in range(trials):
-        f = rnd()
-        for i in range(1, n + 1):
-            g = demazure(i, f)
-            ok = ok and act_gen(i, g) == g
-    rep.add("images are s_i-invariant", ok)
+    def rnd_elem():
+        return from_word(tuple(rng.randint(1, n) for _ in range(rng.randint(0, 3))), n)
 
-    ok = True
-    for _ in range(trials):
-        f = rnd()
-        i = rng.randint(1, n)
-        for d, comp in f.homogeneous_components(XDEG).items():
-            img = demazure(i, comp)
-            if img:
-                ok = ok and degree(img, XDEG) == d - 1
-    rep.add("degree drops by one", ok)
-
-    ok = True
-    for _ in range(trials):
-        f = rnd()
-        wu = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 3)))
-        wv = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 3)))
-        u, v = from_word(wu, n), from_word(wv, n)
+    def composes(f, u, v):
         du = demazure_w(u, demazure_w(v, f))
         uv = compose(u, v)
         if length(uv) == length(u) + length(v):
-            ok = ok and du == demazure_w(uv, f)
-        else:
-            ok = ok and du.is_zero()
-    rep.add("composition law for reduced products", ok)
+            return du == demazure_w(uv, f)
+        return du.is_zero()
+
+    rep.trials("composition law for reduced products", trials, composes, rnd, rnd_elem, rnd_elem)
 
     return rep

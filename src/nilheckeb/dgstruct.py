@@ -87,14 +87,6 @@ def d_apply_nh(dN, a):
     return NHElement(a.nvars, out)
 
 
-def _omega_parity(f):
-    """0/1 parity when all terms share it, else None."""
-    seen = {len(mask) % 2 for (_, mask) in f.terms}
-    if not seen:
-        return 0
-    return seen.pop() if len(seen) == 1 else None
-
-
 def verify_dg(n, N, trials=25, seed=0):
     rep = SuiteReport(f"dg(n={n}, N={N})")
     rng = random.Random(seed)
@@ -112,17 +104,20 @@ def verify_dg(n, N, trials=25, seed=0):
         want = -(x1 ** (2 * N)) * w2 - homog_B(N - 1, 1, 2, n) * w1
         rep.add("two-letter image with prefix sign", got == want)
 
-    ok = True
-    for _ in range(trials):
-        f = random_poly(n, OMEGA, max_xdeg=3, max_terms=4, rng=rng)
-        ok = ok and d_apply(dN, d_apply(dN, f)).is_zero()
-    rep.add("square of the differential vanishes", ok)
+    def rnd():
+        return random_poly(n, OMEGA, max_xdeg=3, max_terms=4, rng=rng)
+
+    def small():
+        return random_poly(n, OMEGA, max_xdeg=2, max_terms=3, rng=rng)
+
+    rep.trials("square of the differential vanishes", trials,
+               lambda f: d_apply(dN, d_apply(dN, f)).is_zero(), rnd)
 
     grading = dN.grading()
     ok = True
     checked = 0
     for _ in range(trials * 2):
-        f = random_poly(n, OMEGA, max_xdeg=3, max_terms=4, rng=rng)
+        f = rnd()
         for d, comp in f.homogeneous_components(grading).items():
             img = d_apply(dN, comp)
             if img.is_zero():
@@ -131,44 +126,36 @@ def verify_dg(n, N, trials=25, seed=0):
             ok = ok and degree(img, grading) == d + 1
     rep.add(f"raises the N-grading by one ({checked} components)", ok and checked > 0)
 
-    ok = True
-    for _ in range(trials):
-        f = random_poly(n, OMEGA, max_xdeg=2, max_terms=3, rng=rng)
-        g = random_poly(n, OMEGA, max_xdeg=2, max_terms=3, rng=rng)
-        pf = _omega_parity(f)
-        if pf is None:
-            continue
-        sign = -1 if pf else 1
-        lhs = d_apply(dN, f * g)
-        rhs = d_apply(dN, f) * g + f * d_apply(dN, g) * sign
-        ok = ok and lhs == rhs
-    rep.add("odd derivation rule", ok)
+    def leibniz(f, g):
+        """d(pg) = d(p)g + (-1)^|p| p d(g) for the even and the odd part p of f."""
+        dg = d_apply(dN, g)
+        for parity in (0, 1):
+            p = ExtPoly(n, OMEGA, {k: c for k, c in f.terms.items() if len(k[1]) % 2 == parity})
+            if p and d_apply(dN, p * g) != d_apply(dN, p) * g + p * dg * (-1) ** parity:
+                return False
+        return True
 
-    ok = True
-    for _ in range(trials):
-        f = random_poly(n, OMEGA, max_xdeg=3, max_terms=4, rng=rng)
-        for i in range(1, n + 1):
-            lhs = demazure(i, d_apply(dN, f))
-            rhs = d_apply(dN, demazure(i, f))
-            ok = ok and lhs == rhs
-    rep.add("commutes with every divided difference", ok)
+    rep.trials("odd derivation rule", trials, leibniz, small, small)
+
+    def commutes(f):
+        df = d_apply(dN, f)
+        return all(demazure(i, df) == d_apply(dN, demazure(i, f)) for i in range(1, n + 1))
+
+    rep.trials("commutes with every divided difference", trials, commutes, rnd)
 
     if n >= 2:
         lhs = demazure(1, d_apply(dN, w1))
         rhs = d_apply(dN, demazure(1, w1))
         rep.add("generator instance of the commutation", lhs == rhs)
 
-    ok = True
-    for _ in range(trials):
-        a = _random_parity_nh(n, rng)
-        b = _random_parity_nh(n, rng)
-        pa = _omega_parity_nh(a)
-        sign = -1 if pa else 1
-        lhs = d_apply_nh(dN, nh_mul(a, b))
-        rhs = d_apply_nh(dN, a) * b + a * d_apply_nh(dN, b) * sign
-        ok = ok and lhs == rhs
-        ok = ok and d_apply_nh(dN, d_apply_nh(dN, nh_mul(a, b))).is_zero()
-    rep.add("extends to the operator algebra", ok)
+    def extends(a, b):
+        sign = -1 if _omega_parity_nh(a) else 1
+        dab = d_apply_nh(dN, nh_mul(a, b))
+        return (dab == d_apply_nh(dN, a) * b + a * d_apply_nh(dN, b) * sign
+                and d_apply_nh(dN, dab).is_zero())
+
+    rep.trials("extends to the operator algebra", trials, extends,
+               lambda: _random_parity_nh(n, rng), lambda: _random_parity_nh(n, rng))
 
     return rep
 
@@ -195,7 +182,8 @@ def _random_parity_nh(n, rng):
 
 
 def _omega_parity_nh(a):
-    seen = {_omega_parity(poly) for poly in a.parts().values()} - {None}
+    """0/1 parity when all terms share it, else None."""
+    seen = {len(mask) % 2 for (_, mask, _) in a.terms}
     if not seen:
         return 0
     return seen.pop() if len(seen) == 1 else None

@@ -30,6 +30,7 @@ __all__ = [
     "DX",
     "ExtPoly",
     "DivisionError",
+    "Grading",
     "LinearForm",
     "XDEG",
     "BIDEG",
@@ -152,10 +153,6 @@ class ExtPoly:
     def is_even(self):
         """True when no odd generator appears."""
         return all(not m for (_, m) in self.terms)
-
-    def max_xdeg(self):
-        """Largest total x-degree over the support (0 for the zero poly)."""
-        return max((sum(e) for (e, _) in self.terms), default=0)
 
     def as_family(self, family):
         """Reinterpret in the other odd family; only for even elements."""

@@ -45,6 +45,7 @@ __all__ = [
     "nh_act",
     "parse_nh",
     "render_nh",
+    "pbw_well_formed",
     "verify_presentation",
 ]
 
@@ -357,36 +358,24 @@ def verify_presentation(n, trials=25, seed=0):
     def rnd_poly():
         return random_poly(n, OMEGA, max_xdeg=3, max_terms=3, rng=rng)
 
-    ok = True
-    for _ in range(trials):
-        f = rnd_poly()
-        name, lhs, rhs = pairs[rng.randrange(len(pairs))]
-        ok = ok and nh_act(lhs, f) == nh_act(rhs, f)
-    rep.add("relations agree under the action", ok)
+    def rnd_nh():
+        return _random_nh(n, rng, group)
 
-    ok = True
-    for _ in range(trials):
-        a = _random_nh(n, rng, group)
-        b = _random_nh(n, rng, group)
-        f = rnd_poly()
-        ok = ok and nh_act(nh_mul(a, b), f) == nh_act(a, nh_act(b, f))
-    rep.add("multiplication matches composed action", ok)
+    def rnd_small():
+        return _random_nh(n, rng, group, max_terms=2)
 
-    ok = True
-    for _ in range(trials):
-        a = _random_nh(n, rng, group, max_terms=2)
-        b = _random_nh(n, rng, group, max_terms=2)
-        c = _random_nh(n, rng, group, max_terms=2)
-        ok = ok and nh_mul(nh_mul(a, b), c) == nh_mul(a, nh_mul(b, c))
-    rep.add("associativity", ok)
-
-    ok = True
-    for _ in range(trials):
-        a = _random_nh(n, rng, group)
-        if a.is_zero():
-            continue
-        ok = ok and _detects_nonzero(a)
-    rep.add("faithfulness on a degree window", ok)
+    rep.trials("relations agree under the action", trials,
+               lambda f, pair: nh_act(pair[1], f) == nh_act(pair[2], f),
+               rnd_poly, lambda: pairs[rng.randrange(len(pairs))])
+    rep.trials("multiplication matches composed action", trials,
+               lambda a, b, f: nh_act(nh_mul(a, b), f) == nh_act(a, nh_act(b, f)),
+               rnd_nh, rnd_nh, rnd_poly)
+    rep.trials("associativity", trials,
+               lambda a, b, c: nh_mul(nh_mul(a, b), c) == nh_mul(a, nh_mul(b, c)),
+               rnd_small, rnd_small, rnd_small)
+    rep.trials("faithfulness on a degree window", trials,
+               lambda a: None if a.is_zero() else _detects_nonzero(a),
+               rnd_nh)
 
     return rep
 

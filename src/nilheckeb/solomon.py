@@ -34,7 +34,7 @@ from .extpoly import (
     render,
 )
 from .report import SuiteReport
-from .schur import default_invariant_gens, exponents, invariant_schur_basis, is_invariant
+from .schur import default_invariant_gens, exponents, invariant_schur_basis
 from .weylb import act_gen
 
 __all__ = [
@@ -42,18 +42,15 @@ __all__ = [
     "PolyMatrix",
     "AdmissibleTuple",
     "exterior_d",
-    "act_dx_form",
-    "act_localized",
     "demazure_dx",
     "chain_word",
     "default_admissible",
     "validate_admissible",
     "p_matrix",
-    "gamma",
     "check_char1",
     "check_char2",
     "mixing_matrix",
-    "default_invariant_gens",
+    "JMap",
     "build_J",
     "verify_J",
     "solomon_compare",
@@ -701,16 +698,10 @@ def verify_J(n, fgens=None, p=None, trials=8, seed=0):
     basis = []
     for k in range(n + 1):
         basis.extend(s for _, s in invariant_schur_basis(n, k))
-    ok = True
-    for _ in range(trials):
-        f = rng.choice(basis) * rng.choice(basis)
-        if not is_invariant(f):
-            continue
-        img = J.apply(f)
-        ok = ok and all(
-            act_gen(i, img) == img for i in range(1, n + 1)
-        )
-    rep.add("images of invariants are invariant", ok)
+    rep.trials("images of invariants are invariant", trials,
+               lambda f: all(act_gen(i, img) == img
+                             for img in (J.apply(f),) for i in range(1, n + 1)),
+               lambda: rng.choice(basis) * rng.choice(basis))
 
     if n == 2:
         rep.add(
@@ -820,43 +811,42 @@ def verify_solomon(n, trials=8, seed=0):
         rhs = exterior_d(f) * g.as_family(DX) + f.as_family(DX) * exterior_d(g)
         rep.add("product rule", lhs == rhs)
 
-    ok = True
-    for _ in range(trials):
-        f = random_poly(n, DX, max_xdeg=3, max_terms=3, rng=rng)
-        forms = _all_forms(n)
+    forms = _all_forms(n)
+
+    def rnd(size):
+        return random_poly(n, DX, max_xdeg=size, max_terms=size, rng=rng)
+
+    def denoms_and_orders():
         denom = tuple(rng.choice(forms) for _ in range(rng.randrange(0, 3)))
+        orders = [list(denom) for _ in range(3)]
+        for order in orders:
+            rng.shuffle(order)
+        return denom, orders
+
+    def order_free(f, drawn):
+        denom, orders = drawn
         F = LocalizedPoly(f, denom)
         spread = F * _denom_poly(denom, n) if denom else F
         base = spread.cancel()
-        for _ in range(3):
-            shuffled = list(denom)
-            rng.shuffle(shuffled)
-            ok = ok and spread.cancel(order=shuffled) == base
-    rep.add("cancellation is order independent", ok)
+        return all(spread.cancel(order=order) == base for order in orders)
 
-    ok = True
-    for _ in range(trials):
-        f = random_poly(n, DX, max_xdeg=2, max_terms=2, rng=rng)
-        forms = _all_forms(n)
-        F = LocalizedPoly(f, tuple(rng.sample(forms, rng.randrange(0, 2))))
-        for i in range(1, n + 1):
-            ok = ok and demazure_dx(i, demazure_dx(i, F)).is_zero()
-    rep.add("localized divided differences square to zero", ok)
+    rep.trials("cancellation is order independent", trials, order_free,
+               lambda: rnd(3), denoms_and_orders)
+    rep.trials("localized divided differences square to zero", trials,
+               lambda F: all(demazure_dx(i, demazure_dx(i, F)).is_zero() for i in range(1, n + 1)),
+               lambda: LocalizedPoly(rnd(2), tuple(rng.sample(forms, rng.randrange(0, 2)))))
 
-    ok = True
-    for _ in range(max(2, trials // 2)):
-        f = random_poly(n, DX, max_xdeg=2, max_terms=2, rng=rng)
-        F = LocalizedPoly(f)
-        for i in range(1, n - 1):
-            lhs = demazure_dx(i, demazure_dx(i + 1, demazure_dx(i, F)))
-            rhs = demazure_dx(i + 1, demazure_dx(i, demazure_dx(i + 1, F)))
-            ok = ok and lhs == rhs
-        if n >= 2:
-            a, b = n - 1, n
-            lhs = demazure_dx(a, demazure_dx(b, demazure_dx(a, demazure_dx(b, F))))
-            rhs = demazure_dx(b, demazure_dx(a, demazure_dx(b, demazure_dx(a, F))))
-            ok = ok and lhs == rhs
-    rep.add("localized braid relations", ok)
+    def dx_word(word, F):
+        for i in reversed(word):
+            F = demazure_dx(i, F)
+        return F
+
+    braid_words = [((i, i + 1, i), (i + 1, i, i + 1)) for i in range(1, n - 1)]
+    if n >= 2:
+        braid_words.append(((n - 1, n, n - 1, n), (n, n - 1, n, n - 1)))
+    rep.trials("localized braid relations", max(2, trials // 2),
+               lambda F: all(dx_word(u, F) == dx_word(v, F) for u, v in braid_words),
+               lambda: LocalizedPoly(rnd(2)))
 
     p = default_admissible(n)
     rep.add("default tuple is admissible", validate_admissible(p).passed)

@@ -33,7 +33,6 @@ __all__ = [
     "compose",
     "inverse",
     "length",
-    "right_descents",
     "left_ascent",
     "some_reduced_word",
     "all_reduced_words",
@@ -43,6 +42,7 @@ __all__ = [
     "enumerate_group",
     "act",
     "act_gen",
+    "act_word",
     "verify_weyl",
 ]
 
@@ -329,52 +329,39 @@ def verify_weyl(n, trials=25, seed=0):
         b = from_word((n - 1, n, n - 1, n), n)
         rep.add("length-4 braid with s_n (group)", a == b)
 
-    def rnd(fam):
+    def rnd(fam=OMEGA):
         return random_poly(n, fam, max_xdeg=3, max_terms=4, rng=rng)
 
+    def rnd_elem():
+        return from_word(tuple(rng.randint(1, n) for _ in range(rng.randint(0, 4))), n)
+
+    def rnd_gen():
+        return rng.randint(1, n)
+
     for fam in (OMEGA, DX):
-        ok = True
-        for _ in range(trials):
-            f = rnd(fam)
-            for i in range(1, n + 1):
-                ok = ok and act_gen(i, act_gen(i, f)) == f
-        rep.add(f"involutions on {fam} polys", ok)
+        rep.trials(f"involutions on {fam} polys", trials,
+                   lambda f: all(act_gen(i, act_gen(i, f)) == f for i in range(1, n + 1)),
+                   lambda: rnd(fam))
 
-    ok = True
-    for _ in range(trials):
-        f = rnd(OMEGA)
-        for i in range(1, n - 1):
-            ok = ok and act_word((i, i + 1, i), f) == act_word((i + 1, i, i + 1), f)
-        for i in range(1, n - 1):
-            for j in range(i + 2, n + 1):
-                ok = ok and act_word((i, j), f) == act_word((j, i), f)
-        if n >= 2:
-            ok = ok and act_word((n, n - 1, n, n - 1), f) == act_word((n - 1, n, n - 1, n), f)
-    rep.add("braid relations on the action", ok)
+    def braids_hold(f):
+        return (all(act_word((i, i + 1, i), f) == act_word((i + 1, i, i + 1), f)
+                    for i in range(1, n - 1))
+                and all(act_word((i, j), f) == act_word((j, i), f)
+                        for i in range(1, n - 1) for j in range(i + 2, n + 1))
+                and (n < 2 or act_word((n, n - 1, n, n - 1), f)
+                     == act_word((n - 1, n, n - 1, n), f)))
 
-    ok = True
-    for _ in range(trials):
-        f = rnd(OMEGA)
-        word_u = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 4)))
-        word_v = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 4)))
-        u, v = from_word(word_u, n), from_word(word_v, n)
-        ok = ok and act(u, act(v, f)) == act(compose(u, v), f)
-    rep.add("action respects composition", ok)
-
-    ok = True
-    for _ in range(trials):
-        f, g = rnd(OMEGA), rnd(OMEGA)
-        i = rng.randint(1, n)
-        ok = ok and act_gen(i, f * g) == act_gen(i, f) * act_gen(i, g)
-    rep.add("generators act as ring maps", ok)
-
-    ok = True
-    for _ in range(trials):
-        f = rnd(OMEGA)
-        i = rng.randint(1, n)
-        for d, comp in f.homogeneous_components(XDEG).items():
-            img = act_gen(i, comp)
-            ok = ok and (img.is_zero() or degree(img, XDEG) == d)
-    rep.add("action preserves degree", ok)
+    rep.trials("braid relations on the action", trials, braids_hold, rnd)
+    rep.trials("action respects composition", trials,
+               lambda f, u, v: act(u, act(v, f)) == act(compose(u, v), f),
+               rnd, rnd_elem, rnd_elem)
+    rep.trials("generators act as ring maps", trials,
+               lambda f, g, i: act_gen(i, f * g) == act_gen(i, f) * act_gen(i, g),
+               rnd, rnd, rnd_gen)
+    rep.trials("action preserves degree", trials,
+               lambda f, i: all(img.is_zero() or degree(img, XDEG) == d
+                                for d, comp in f.homogeneous_components(XDEG).items()
+                                for img in (act_gen(i, comp),)),
+               rnd, rnd_gen)
 
     return rep

@@ -57,10 +57,20 @@ def test_verify_exit_two_on_failure(capsys, monkeypatch):
 
 
 def test_validation_failure_is_exit_one(capsys):
-    code = cli.main(["schur", "--n", "2", "--alpha", "0,0", "--beta", "7"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "7" in err
+    for argv, fragment in [
+        (["schur", "--n", "2", "--alpha", "0,0", "--beta", "7"], "7"),
+        (["verify", "--n", "0"], "nhb verify: --n"),
+        (["poincare", "--n", "0"], "nhb poincare: --n"),
+        (["poincare", "--n", "-1"], "nhb poincare: --n"),
+        (["verify", "--n", "2", "--trials", "0"], "nhb verify: --trials"),
+        (["verify", "--n", "2", "--trials", "-3"], "nhb verify: --trials"),
+    ]:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        assert captured.out == ""
+        assert fragment in captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_usage_errors_are_exit_sixty_four(capsys):
@@ -111,7 +121,7 @@ def test_nh_normal_form(capsys):
     code, out = run(capsys, ["nh", "--n", "2", "D(1)", "x1"])
     assert code == 0
     assert out == "1 + x2*D(1)\n"
-    code, out = run(capsys, ["nh", "--n", "2", "--word", "1,1"])
+    code, out = run(capsys, ["nh", "--n", "2", "D(1,1)"])
     assert code == 0
     assert out == "0\n"
 
@@ -131,11 +141,6 @@ def test_verify_with_no_suite_is_exit_one(capsys):
     assert code == 1
     assert captured.out == ""
     assert "solomon" in captured.err
-
-
-def test_nh_rejects_expr_and_word_together(capsys):
-    code = cli.main(["nh", "--n", "2", "D(1)", "--word", "1"])
-    assert code == 1
 
 
 def test_dg_command(capsys):

@@ -87,3 +87,12 @@ def test_extends_to_operator_algebra():
 def test_suite_green(n, N):
     rep = verify_dg(n, N, trials=10, seed=0)
     assert rep.passed, str(rep)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_odd_derivation_rule_runs_at_one_trial(seed):
+    for N in (2, 3, 4):
+        rep = verify_dg(2, N, trials=1, seed=seed)
+        check = next(c for c in rep.checks if c.check == "odd derivation rule")
+        assert check.passed
+        assert check.detail != "no trial ran"
