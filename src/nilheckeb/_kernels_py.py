@@ -103,11 +103,11 @@ def mul_terms(a, b):
     return out
 
 
-def div_linear_terms(a, i, j, s):
-    """Divide by ``x_i - s*x_j`` (0-based slots ``i != j``, ``s`` is +1/-1).
+def div_linear_terms(a, i, j):
+    """Divide by ``x_i - x_j`` (0-based slots ``i != j``).
 
-    Synthetic division in ``x_i`` about ``x_i = s*x_j``: per term,
-    ``x_i^k = (x_i - s x_j) * sum_t x_i^t (s x_j)^(k-1-t) + (s x_j)^k``.
+    Synthetic division in ``x_i`` about ``x_i = x_j``: per term,
+    ``x_i^k = (x_i - x_j) * sum_t x_i^t x_j^(k-1-t) + x_j^k``.
     Returns ``(quotient, remainder)``; the remainder is free of ``x_i``.
     """
     quot = {}
@@ -119,14 +119,12 @@ def div_linear_terms(a, i, j, s):
             q = list(base)
             q[i] = t
             q[j] = e[j] + (k - 1 - t)
-            sign_pow = (k - 1 - t) % 2
-            cc = c if (s > 0 or sign_pow == 0) else -c
             key = (tuple(q), m)
             v = quot.get(key)
             if v is None:
-                quot[key] = cc
+                quot[key] = c
             else:
-                v = v + cc
+                v = v + c
                 if v:
                     quot[key] = v
                 else:
@@ -134,13 +132,12 @@ def div_linear_terms(a, i, j, s):
         r = list(base)
         r[i] = 0
         r[j] = e[j] + k
-        cc = c if (s > 0 or k % 2 == 0) else -c
         key = (tuple(r), m)
         v = rem.get(key)
         if v is None:
-            rem[key] = cc
+            rem[key] = c
         else:
-            v = v + cc
+            v = v + c
             if v:
                 rem[key] = v
             else:

@@ -299,12 +299,12 @@ def degree(f, grading):
 
 
 class LinearForm:
-    """One of the linear forms x_i - x_j, x_i + x_j (i < j), or x_i."""
+    """One of the linear forms x_i - x_j (i < j) or x_i."""
 
     __slots__ = ("kind", "i", "j")
 
     def __init__(self, kind, i, j=None):
-        if kind in ("diff", "sum"):
+        if kind == "diff":
             if j is None or not i < j:
                 raise ValueError("need indices i < j")
         elif kind != "var":
@@ -318,43 +318,19 @@ class LinearForm:
         return cls("diff", i, j)
 
     @classmethod
-    def sum(cls, i, j):
-        return cls("sum", i, j)
-
-    @classmethod
     def var(cls, i):
         return cls("var", i)
-
-    def as_poly(self, nvars, family=OMEGA):
-        x = ExtPoly.x
-        if self.kind == "diff":
-            return x(self.i, nvars, family) - x(self.j, nvars, family)
-        if self.kind == "sum":
-            return x(self.i, nvars, family) + x(self.j, nvars, family)
-        return x(self.i, nvars, family)
-
-    def key(self):
-        return (self.kind, self.i, self.j)
-
-    def __eq__(self, other):
-        return isinstance(other, LinearForm) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         if self.kind == "diff":
             return f"x{self.i} - x{self.j}"
-        if self.kind == "sum":
-            return f"x{self.i} + x{self.j}"
         return f"x{self.i}"
 
 
 def _div_terms(terms, form):
     if form.kind == "var":
         return _k.div_var_terms(terms, form.i - 1)
-    s = 1 if form.kind == "diff" else -1
-    return _k.div_linear_terms(terms, form.i - 1, form.j - 1, s)
+    return _k.div_linear_terms(terms, form.i - 1, form.j - 1)
 
 
 def exact_div_linear(f, form):

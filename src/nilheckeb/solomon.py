@@ -1,21 +1,20 @@
 """The exterior-derivative picture of the invariant calculus.
 
 Even polynomials map into the dx superalgebra via the exterior
-derivative; divided differences extend to a localized ring whose
-denominators are the root forms x_i - x_j, x_i + x_j, x_i (the simple
-forms alone are not stable under the twisted action, so the full list
-is used).  An admissible tuple p of even polynomials yields an upper
-triangular matrix P with constant diagonal; inverting it against the
-exterior derivatives of invariant generators f produces a map J from
-the odd generators into the dx ring obeying the same divided-difference
-table as the w generators, which is verified rather than assumed.
+derivative, on which the group and the divided differences act as on
+the w generators.  An admissible tuple p of even polynomials yields an
+upper triangular matrix P with constant diagonal; inverting it against
+the exterior derivatives of invariant generators f produces a map J
+from the odd generators into the dx ring obeying the same
+divided-difference table as the w generators.  The table is verified,
+not assumed, as the polynomial identities F - s_k F = alpha_k * G that
+say d_k F = G, with alpha_k = x_k - x_{k+1} for k < n and alpha_n = 2 x_n.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
 from fractions import Fraction
 
 from . import linalg
@@ -25,12 +24,8 @@ from .extpoly import (
     DX,
     OMEGA,
     ExtPoly,
-    LinearForm,
     XDEG,
     degree,
-    exact_div_linear,
-    DivisionError,
-    random_poly,
     render,
 )
 from .report import SuiteReport
@@ -38,18 +33,15 @@ from .schur import default_invariant_gens, exponents, invariant_schur_basis
 from .weylb import act_gen
 
 __all__ = [
-    "LocalizedPoly",
     "PolyMatrix",
     "AdmissibleTuple",
     "exterior_d",
-    "demazure_dx",
     "chain_word",
     "default_admissible",
     "validate_admissible",
     "p_matrix",
     "check_char1",
     "check_char2",
-    "mixing_matrix",
     "JMap",
     "build_J",
     "verify_J",
@@ -72,210 +64,6 @@ def exterior_d(f):
             ee[i] -= 1
             accumulate(out, (tuple(ee), (i + 1,)), c * e[i])
     return ExtPoly(n, DX, out)
-
-
-# -- the localized ring -------------------------------------------------
-
-
-def _form_sort_key(form):
-    return (form.kind, form.i, form.j if form.j is not None else 0)
-
-
-def _denom_poly(denom, nvars):
-    out = ExtPoly.one(nvars, DX)
-    for form in denom:
-        out = out * form.as_poly(nvars, DX)
-    return out
-
-
-class LocalizedPoly:
-    """A dx-polynomial divided by a multiset of root forms."""
-
-    __slots__ = ("num", "denom")
-
-    def __init__(self, num, denom=()):
-        if num.family != DX:
-            num = num.as_family(DX)
-        self.num = num
-        self.denom = tuple(sorted(denom, key=_form_sort_key))
-
-    @classmethod
-    def from_poly(cls, f):
-        return cls(f if f.family == DX else f.as_family(DX))
-
-    @classmethod
-    def zero(cls, nvars):
-        return cls(ExtPoly.zero(nvars, DX))
-
-    @property
-    def nvars(self):
-        return self.num.nvars
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def cancel(self, order=None):
-        """Strike every denominator form that divides the numerator.
-
-        The reduction is confluent on this form list; ``order`` exists
-        so tests can drive the reduction in shuffled orders.
-        """
-        num = self.num
-        denom = list(self.denom)
-        changed = True
-        while changed and denom and not num.is_zero():
-            changed = False
-            if order is None:
-                forms = list(denom)
-            else:
-                forms = [f for f in order if f in denom]
-                forms += [f for f in denom if f not in forms]
-            for form in forms:
-                try:
-                    num = exact_div_linear(num, form)
-                except DivisionError:
-                    continue
-                denom.remove(form)
-                changed = True
-                break
-        if num.is_zero():
-            denom = []
-        return LocalizedPoly(num, denom)
-
-    def divided(self, form):
-        return LocalizedPoly(self.num, self.denom + (form,)).cancel()
-
-    def _coerce(self, other):
-        if isinstance(other, LocalizedPoly):
-            return other
-        if isinstance(other, ExtPoly):
-            return LocalizedPoly.from_poly(other)
-        if isinstance(other, (int, Fraction)):
-            return LocalizedPoly.from_poly(ExtPoly.const(self.nvars, other, DX))
-        return None
-
-    def _over_common_denom(self, other):
-        """Both numerators over the least common denominator, and that denominator."""
-        a, b = Counter(self.denom), Counter(other.denom)
-        lcm = a | b
-        fa = _denom_poly((lcm - a).elements(), self.nvars)
-        fb = _denom_poly((lcm - b).elements(), self.nvars)
-        return self.num * fa, other.num * fb, tuple(lcm.elements())
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        num_a, num_b, denom = self._over_common_denom(other)
-        return LocalizedPoly(num_a + num_b, denom).cancel()
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LocalizedPoly(-self.num, self.denom)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LocalizedPoly(self.num * other, self.denom)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return LocalizedPoly(
-            self.num * other.num, self.denom + other.denom
-        ).cancel()
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        other = self._coerce(other)
-        return NotImplemented if other is None else other * self
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        num_a, num_b, _ = self._over_common_denom(other)
-        return num_a == num_b
-
-    __hash__ = None
-
-    def as_poly(self):
-        """The underlying polynomial; error when denominators remain."""
-        red = self.cancel()
-        if red.denom:
-            raise ValueError(f"element is genuinely localized: {red!r}")
-        return red.num
-
-    def __repr__(self):
-        if not self.denom:
-            return render(self.num)
-        denom = " * ".join(f"({form!r})" for form in self.denom)
-        return f"({render(self.num)}) / ({denom})"
-
-
-def act_dx_form(i, form, n):
-    """Image of a root form under a group generator: (form, sign)."""
-    if i == n:
-        if form.kind == "var" and form.i == n:
-            return form, -1
-        if form.kind == "diff" and form.j == n:
-            return LinearForm.sum(form.i, n), 1
-        if form.kind == "sum" and form.j == n:
-            return LinearForm.diff(form.i, n), 1
-        return form, 1
-
-    def p(t):
-        if t == i:
-            return i + 1
-        if t == i + 1:
-            return i
-        return t
-
-    if form.kind == "var":
-        return LinearForm.var(p(form.i)), 1
-    a, b = p(form.i), p(form.j)
-    if a > b:
-        a, b = b, a
-        if form.kind == "diff":
-            return LinearForm.diff(a, b), -1
-    return LinearForm(form.kind, a, b), 1
-
-
-def act_localized(i, F):
-    """Twisted action of a generator on a localized element."""
-    n = F.nvars
-    num = act_gen(i, F.num)
-    sign = 1
-    denom = []
-    for form in F.denom:
-        form2, s = act_dx_form(i, form, n)
-        denom.append(form2)
-        sign *= s
-    if sign < 0:
-        num = -num
-    return LocalizedPoly(num, denom)
-
-
-def demazure_dx(i, F):
-    """Twisted divided difference on the localized dx ring."""
-    if isinstance(F, ExtPoly):
-        F = LocalizedPoly.from_poly(F)
-    n = F.nvars
-    if not 1 <= i <= n:
-        raise ValueError(f"generator index {i} out of range 1..{n}")
-    G = F - act_localized(i, F)
-    if i < n:
-        return G.divided(LinearForm.diff(i, i + 1))
-    return (G * Fraction(1, 2)).divided(LinearForm.var(n))
 
 
 # -- admissible tuples and their matrices -------------------------------
@@ -460,7 +248,7 @@ class PolyMatrix:
         inv = [[zero for _ in range(size)] for _ in range(size)]
         for j in range(size):
             inv[j][j] = ExtPoly.const(n, Fraction(1, 1) / diag[j])
-        for j in range(size):
+        for j in reversed(range(size)):
             for k in range(j + 1, size):
                 acc = zero
                 for t in range(j + 1, k + 1):
@@ -503,20 +291,6 @@ def gamma(k, A):
 
 def _matrix_demazure(i, A):
     return A.map(lambda e: demazure(i, e))
-
-
-def mixing_matrix(k, P):
-    """The matrix governing divided differences of the solved images.
-
-    Because the generator derivatives annihilate df, the images
-    J(w) = P^{-1} df always satisfy d_k(J(w)) = [d_k(P^{-1}) P] J(w);
-    this returns that bracket.  The clean generator table is the
-    statement that it collapses to a single entry -(x_k+x_{k+1}) at
-    (k, k+1) — which holds at rank two but acquires corrections in the
-    last column from rank three on.
-    """
-    Pinv = P.invert_upper()
-    return Pinv.map(lambda e: demazure(k, e)).mul(P)
 
 
 def check_char1(p):
@@ -665,35 +439,18 @@ def verify_J(n, fgens=None, p=None, trials=8, seed=0):
 
     rep.add("generator images are bihomogeneous of the right degrees", _images_bihomogeneous(J))
 
+    # d_k F = G exactly when F - s_k F = alpha_k * G: nothing is divided.
     ok = True
-    for j in range(1, n + 1):
-        img = LocalizedPoly.from_poly(J.of_generator(j))
-        for k in range(1, n):
-            got = demazure_dx(k, img)
-            if j == k:
-                want = LocalizedPoly.from_poly(
-                    -(xf(k) + xf(k + 1)) * J.of_generator(k + 1)
-                )
+    for k in range(1, n + 1):
+        root = xf(k) - xf(k + 1) if k < n else 2 * xf(n)
+        for j in range(1, n + 1):
+            img = J.of_generator(j)
+            if j == k < n:
+                want = root * -(xf(k) + xf(k + 1)) * J.of_generator(k + 1)
             else:
-                want = LocalizedPoly.zero(n)
-            ok = ok and got == want
-        ok = ok and demazure_dx(n, img).is_zero()
+                want = ExtPoly.zero(n, DX)
+            ok = ok and img - act_gen(k, img) == want
     rep.add("divided differences of the images follow the generator table", ok)
-
-    P = p_matrix(default_admissible(n) if p is None else p)
-    rep.add("divided differences of the images follow the mixing matrix",
-            _images_follow_mixing(J, P))
-
-    ok = True
-    for j in range(1, n + 1):
-        img = J.of_generator(j)
-        for k in range(1, n):
-            want = img
-            if j == k:
-                want = want + (xf(k) ** 2 - xf(k + 1) ** 2) * J.of_generator(k + 1)
-            ok = ok and act_gen(k, img) == want
-        ok = ok and act_gen(n, img) == img
-    rep.add("group action on the images mirrors the w generators", ok)
 
     basis = []
     for k in range(n + 1):
@@ -703,12 +460,12 @@ def verify_J(n, fgens=None, p=None, trials=8, seed=0):
                              for img in (J.apply(f),) for i in range(1, n + 1)),
                lambda: rng.choice(basis) * rng.choice(basis))
 
-    if n == 2:
-        rep.add(
-            "images of the invariant basis stay independent",
-            linalg.span_rank([J.apply(s) for s in basis]) == len(basis),
-        )
+    rep.add(
+        "images of the invariant basis stay independent",
+        linalg.span_rank([J.apply(s) for s in basis]) == len(basis),
+    )
 
+    if n == 2:
         golden = J.of_generator(2) == exterior_d(fgens[1])
         golden = golden and J.of_generator(1) == exterior_d(fgens[0]) + (
             xf(2) ** 2
@@ -727,21 +484,6 @@ def _images_bihomogeneous(J):
         img = J.of_generator(j)
         if not img or any(len(mask) != 1 or sum(e) != 2 * (n - j) + 1 for e, mask in img.terms):
             return False
-    return True
-
-
-def _images_follow_mixing(J, P):
-    """d_k J(w_j) = sum_t M[j, t] J(w_t) for every k, with M the mixing matrix of k."""
-    n = J.nvars
-    for k in range(1, n + 1):
-        M = mixing_matrix(k, P)
-        for j in range(1, n + 1):
-            got = demazure_dx(k, LocalizedPoly.from_poly(J.of_generator(j)))
-            want = ExtPoly.zero(n, DX)
-            for t in range(1, n + 1):
-                want = want + M[j, t].as_family(DX) * J.of_generator(t)
-            if got != LocalizedPoly.from_poly(want):
-                return False
     return True
 
 
@@ -798,7 +540,6 @@ def solomon_compare(n, max_bidegree=(6, None)):
 
 def verify_solomon(n, trials=8, seed=0):
     rep = SuiteReport(f"solomon module(n={n})")
-    rng = random.Random(seed)
 
     x1 = ExtPoly.x(1, n)
     got = exterior_d(x1 * x1)
@@ -811,43 +552,6 @@ def verify_solomon(n, trials=8, seed=0):
         rhs = exterior_d(f) * g.as_family(DX) + f.as_family(DX) * exterior_d(g)
         rep.add("product rule", lhs == rhs)
 
-    forms = _all_forms(n)
-
-    def rnd(size):
-        return random_poly(n, DX, max_xdeg=size, max_terms=size, rng=rng)
-
-    def denoms_and_orders():
-        denom = tuple(rng.choice(forms) for _ in range(rng.randrange(0, 3)))
-        orders = [list(denom) for _ in range(3)]
-        for order in orders:
-            rng.shuffle(order)
-        return denom, orders
-
-    def order_free(f, drawn):
-        denom, orders = drawn
-        F = LocalizedPoly(f, denom)
-        spread = F * _denom_poly(denom, n) if denom else F
-        base = spread.cancel()
-        return all(spread.cancel(order=order) == base for order in orders)
-
-    rep.trials("cancellation is order independent", trials, order_free,
-               lambda: rnd(3), denoms_and_orders)
-    rep.trials("localized divided differences square to zero", trials,
-               lambda F: all(demazure_dx(i, demazure_dx(i, F)).is_zero() for i in range(1, n + 1)),
-               lambda: LocalizedPoly(rnd(2), tuple(rng.sample(forms, rng.randrange(0, 2)))))
-
-    def dx_word(word, F):
-        for i in reversed(word):
-            F = demazure_dx(i, F)
-        return F
-
-    braid_words = [((i, i + 1, i), (i + 1, i, i + 1)) for i in range(1, n - 1)]
-    if n >= 2:
-        braid_words.append(((n - 1, n, n - 1, n), (n, n - 1, n, n - 1)))
-    rep.trials("localized braid relations", max(2, trials // 2),
-               lambda F: all(dx_word(u, F) == dx_word(v, F) for u, v in braid_words),
-               lambda: LocalizedPoly(rnd(2)))
-
     p = default_admissible(n)
     rep.add("default tuple is admissible", validate_admissible(p).passed)
     rep.add("characterization one", check_char1(p).passed)
@@ -857,12 +561,8 @@ def verify_solomon(n, trials=8, seed=0):
     rep.add("characterization two on the generator column", check_char2(P, theta).passed)
 
     J = build_J(n=n)
-    if n == 2:
-        theta_dx = [J.of_generator(i) for i in range(1, n + 1)]
-        rep.add(
-            "characterization two on the solved images",
-            check_char2(P, theta_dx).passed,
-        )
+    theta_dx = [J.of_generator(i) for i in range(1, n + 1)]
+    rep.add("characterization two on the solved images", check_char2(P, theta_dx).passed)
 
     bad = [ExtPoly.x(1, n, OMEGA) * ExtPoly.odd(1, n)] + [
         ExtPoly.odd(i + 1, n) for i in range(1, n)
@@ -876,28 +576,7 @@ def verify_solomon(n, trials=8, seed=0):
         and checks["no two conditions hold without the third"],
     )
 
-    rep.add("image bidegrees", _images_bihomogeneous(J))
-    rep.add("image derivatives follow the mixing matrix", _images_follow_mixing(J, P))
-
-    rep.add("rank-two equivariance suite", verify_J(2, trials=trials, seed=seed).passed)
-    if n >= 3:
-        ok = True
-        for k in range(1, n + 1):
-            M = mixing_matrix(k, P)
-            for a in range(1, n + 1):
-                for b in range(1, n + 1):
-                    e = M[a, b]
-                    if k < n and (a, b) == (k, k + 1):
-                        ok = ok and e == -(
-                            ExtPoly.x(k, n) + ExtPoly.x(k + 1, n)
-                        )
-                    elif k < n and a <= k and b == n:
-                        pass  # corrections live here from rank three on
-                    else:
-                        ok = ok and e.is_zero()
-        corr = mixing_matrix(1, P)[1, n]
-        ok = ok and not corr.is_zero()
-        rep.add("higher-rank corrections sit in the last column", ok)
+    rep.add("equivariance suite", verify_J(n, trials=trials, seed=seed).passed)
 
     if n <= 2:
         rep.add("invariant dimensions match the generator picture",
@@ -911,11 +590,3 @@ def _unit(n, pos, val):
     e[pos] = val
     return tuple(e)
 
-
-def _all_forms(n):
-    out = [LinearForm.var(i) for i in range(1, n + 1)]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out.append(LinearForm.diff(i, j))
-            out.append(LinearForm.sum(i, j))
-    return out

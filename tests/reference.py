@@ -1,18 +1,20 @@
 """Independent oracles the tests compare the library against.
 
 Everything here is written from scratch on sympy and plain tuples: a
-symbolic divided difference for even polynomials, and a breadth-first
-model of the signed-permutation group.  The one exception is the
+symbolic divided difference for even polynomials, the closed form of
+the solved images J(w_j), and a breadth-first model of the
+signed-permutation group.  The one exception is the
 brute-force operator product ``oracle_nh_mul``, which borrows the
 package's single-letter operators and polynomial arithmetic but does its
 own word expansion and group bookkeeping.
 """
 
+import itertools
 from fractions import Fraction
 
 import sympy
 
-from nilheckeb import ExtPoly, NHElement, OMEGA, act_gen, demazure
+from nilheckeb import DX, ExtPoly, NHElement, OMEGA, act_gen, demazure
 
 
 def sy_vars(n):
@@ -53,6 +55,31 @@ def sy_demazure(i, expr, n):
         flipped = expr.subs(xs[n - 1], -xs[n - 1])
         quot = sympy.cancel((expr - flipped) / (2 * xs[n - 1]))
     return sympy.expand(quot)
+
+
+def sy_elementary(k, exprs):
+    """The elementary symmetric polynomial e_k of ``exprs``."""
+    return sympy.Add(*(sympy.Mul(*c) for c in itertools.combinations(exprs, k)))
+
+
+def oracle_J_image(j, n):
+    """J(w_j) = sum_{m=j..n} e_{m-j}(x_{j+1}^2, ..., x_n^2) * d f_m.
+
+    Here f_m = e_{n-m+1}(x_1^2, ..., x_n^2) and d f = sum_i (df/dx_i) dx_i.
+    """
+    xs = sy_vars(n)
+    squares = [x**2 for x in xs]
+    coeffs = [sympy.Integer(0)] * n
+    for m in range(j, n + 1):
+        weight = sy_elementary(m - j, squares[j:])
+        f = sy_elementary(n - m + 1, squares)
+        for i, x in enumerate(xs):
+            coeffs[i] += weight * sympy.diff(f, x)
+    entries = []
+    for i, c in enumerate(coeffs):
+        for e, q in sympy.Poly(sympy.expand(c), *xs).terms():
+            entries.append((Fraction(int(q.p), int(q.q)), tuple(e), (i + 1,)))
+    return ExtPoly.from_terms(n, entries, DX)
 
 
 # -- plain-tuple model of the group -------------------------------------
