@@ -277,7 +277,7 @@ def main(argv=None):
             if getattr(ns, option, 1) < 1:
                 raise ValueError(f"--{option} must be at least 1")
         return _DISPATCH[ns.command](ns)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"nhb {ns.command}: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .extpoly import OMEGA, XDEG, ExtPoly, LinearForm, degree, exact_div_linear, random_poly
+from .extpoly import OMEGA, XDEG, ExtPoly, degree, exact_div_linear, random_poly
 from .report import SuiteReport
 from .weylb import (
     act_gen,
@@ -33,8 +33,8 @@ def demazure(i, f):
         raise ValueError(f"operator index {i} out of range 1..{n}")
     diff = f - act_gen(i, f)
     if i < n:
-        return exact_div_linear(diff, LinearForm.diff(i, i + 1))
-    return exact_div_linear(diff, LinearForm.var(n)) * _HALF
+        return exact_div_linear(diff, i, i + 1)
+    return exact_div_linear(diff, n) * _HALF
 
 
 def demazure_word(word, f):

@@ -31,7 +31,6 @@ __all__ = [
     "ExtPoly",
     "DivisionError",
     "Grading",
-    "LinearForm",
     "XDEG",
     "BIDEG",
     "DGN",
@@ -298,47 +297,26 @@ def degree(f, grading):
 # -- exact division by linear forms ------------------------------------
 
 
-class LinearForm:
-    """One of the linear forms x_i - x_j (i < j) or x_i."""
+def exact_div_linear(f, i, j=None):
+    """Divide f exactly by x_i - x_j (i < j), or by x_i when j is None.
 
-    __slots__ = ("kind", "i", "j")
-
-    def __init__(self, kind, i, j=None):
-        if kind == "diff":
-            if j is None or not i < j:
-                raise ValueError("need indices i < j")
-        elif kind != "var":
-            raise ValueError(f"unknown form kind {kind!r}")
-        self.kind = kind
-        self.i = i
-        self.j = j
-
-    @classmethod
-    def diff(cls, i, j):
-        return cls("diff", i, j)
-
-    @classmethod
-    def var(cls, i):
-        return cls("var", i)
-
-    def __repr__(self):
-        if self.kind == "diff":
-            return f"x{self.i} - x{self.j}"
-        return f"x{self.i}"
-
-
-def _div_terms(terms, form):
-    if form.kind == "var":
-        return _k.div_var_terms(terms, form.i - 1)
-    return _k.div_linear_terms(terms, form.i - 1, form.j - 1)
-
-
-def exact_div_linear(f, form):
-    """Divide f exactly by a linear form; DivisionError if it does not divide."""
-    quot, rem = _div_terms(f.terms, form)
+    Indices are 1-based; DivisionError, carrying the remainder, if the
+    form does not divide f.
+    """
+    n = f.nvars
+    if j is None:
+        if not 1 <= i <= n:
+            raise ValueError(f"variable index {i} out of range 1..{n}")
+        quot, rem = _k.div_var_terms(f.terms, i - 1)
+        form = f"x{i}"
+    else:
+        if not 1 <= i < j <= n:
+            raise ValueError(f"need indices 1 <= i < j <= {n}, got {i}, {j}")
+        quot, rem = _k.div_linear_terms(f.terms, i - 1, j - 1)
+        form = f"x{i} - x{j}"
     if rem:
         raise DivisionError(
-            f"{form!r} does not divide exactly",
+            f"{form} does not divide exactly",
             remainder=ExtPoly(f.nvars, f.family, rem),
         )
     return ExtPoly(f.nvars, f.family, quot)

@@ -22,7 +22,7 @@ import math
 import random
 
 from ._kernels_py import accumulate
-from .extpoly import DX, OMEGA, XDEG, ExtPoly, degree, random_poly
+from .extpoly import DX, OMEGA, XDEG, ExtPoly, _normalize_mask, degree, random_poly
 from .report import SuiteReport
 
 __all__ = [
@@ -265,15 +265,8 @@ def act_gen(i, f):
                 accumulate(out, (tuple(plus), shifted), c)
                 accumulate(out, (tuple(minus), shifted), -c)
         else:
-            has_i, has_j = i in m, (i + 1) in m
-            if has_i and has_j:
-                accumulate(out, (ee, m), -c)
-            elif has_i:
-                accumulate(out, (ee, tuple(sorted(x if x != i else i + 1 for x in m))), c)
-            elif has_j:
-                accumulate(out, (ee, tuple(sorted(x if x != i + 1 else i for x in m))), c)
-            else:
-                accumulate(out, (ee, m), c)
+            sign, swapped = _normalize_mask(i + 1 if x == i else i if x == i + 1 else x for x in m)
+            accumulate(out, (ee, swapped), c if sign > 0 else -c)
     return ExtPoly(n, f.family, out)
 
 

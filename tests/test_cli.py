@@ -99,6 +99,17 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert target.read_text() == "w1*w2\n"
 
 
+def test_unwritable_out_is_exit_one(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code = cli.main(["poincare", "--n", "4", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("nhb poincare: ")
+    assert captured.err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_basis_json_schema(capsys):
     code, out = run(capsys, ["basis", "--n", "2", "--format", "json"])
     assert code == 0

@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nilheckeb import (
@@ -16,7 +16,6 @@ from nilheckeb import (
     XDEG,
     DivisionError,
     ExtPoly,
-    LinearForm,
     degree,
     exact_div_linear,
     from_json,
@@ -113,8 +112,9 @@ def test_parse_rejects_misplaced_signs(text, message):
 
 
 @st.composite
-def polys(draw, n):
-    family = draw(st.sampled_from([OMEGA, DX]))
+def polys(draw, n, family=None):
+    if family is None:
+        family = draw(st.sampled_from([OMEGA, DX]))
     term = st.tuples(
         st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
         st.tuples(*[st.integers(0, 3)] * n),
@@ -127,6 +127,28 @@ def polys(draw, n):
 @given(st.sampled_from([2, 3]).flatmap(polys))
 def test_parse_inverts_render(f):
     assert parse(render(f), f.nvars, f.family) == f
+
+
+@pytest.mark.parametrize("pair", [True, False], ids=["x_i-x_j", "x_i"])
+@pytest.mark.parametrize("family", [OMEGA, DX])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_division_by_linear_forms(family, pair, data):
+    n = data.draw(st.sampled_from([2, 3]))
+    f = data.draw(polys(n, family))
+    g = data.draw(polys(n, family))
+    i = data.draw(st.integers(1, n - 1 if pair else n))
+    args = (i, data.draw(st.integers(i + 1, n))) if pair else (i,)
+    x = lambda k: ExtPoly.x(k, n, family)
+    form = x(i) - x(args[1]) if pair else x(i)
+    assert exact_div_linear(form * f, *args) == f
+    # a part free of x_i is what is left over, whole
+    rest = ExtPoly.from_terms(
+        n, [(c, e[:i - 1] + (0,) + e[i:], m) for (e, m), c in g.terms.items()], family)
+    assume(rest)
+    with pytest.raises(DivisionError) as err:
+        exact_div_linear(form * f + rest, *args)
+    assert err.value.remainder == rest
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -154,12 +176,15 @@ def test_gradings():
 
 def test_exact_division():
     f = parse("x1^2 - x2^2", 2)
-    q = exact_div_linear(f, LinearForm.diff(1, 2))
+    q = exact_div_linear(f, 1, 2)
     assert render(q) == "x1 + x2"
     with pytest.raises(DivisionError):
-        exact_div_linear(parse("x1", 2), LinearForm.diff(1, 2))
+        exact_div_linear(parse("x1", 2), 1, 2)
     g = parse("x2^3 + x1*x2", 2)
-    assert render(exact_div_linear(g, LinearForm.var(2))) == "x1 + x2^2"
+    assert render(exact_div_linear(g, 2)) == "x1 + x2^2"
+    for bad in [(2, 1), (1, 1), (0,), (3,), (1, 3)]:
+        with pytest.raises(ValueError):
+            exact_div_linear(f, *bad)
 
 
 def test_homogeneous_components_sum_back():

@@ -48,6 +48,16 @@ def test_default_tuple_is_admissible():
         assert rep.passed, str(rep)
 
 
+def test_tuple_must_have_one_entry_per_variable():
+    short = default_admissible(3)[:2]
+    for fn in (validate_admissible, p_matrix, check_char1):
+        with pytest.raises(ValueError):
+            fn(short)
+    with pytest.raises(ValueError):
+        build_J(n=3, p=short)
+    assert p_matrix(list(default_admissible(3))) == p_matrix(default_admissible(3))
+
+
 def test_chain_on_default_tuple_gives_unit():
     n = 3
     p1, p2, p3 = default_admissible(n)
@@ -104,6 +114,18 @@ def test_char2_flags_broken_column():
     bad = [ExtPoly.x(1, n) * ExtPoly.odd(1, n), ExtPoly.odd(2, n)]
     rep = check_char2(P, bad)
     assert not rep.passed
+
+
+def test_condition_three_checks_every_table_entry():
+    n = 3
+    P = p_matrix(default_admissible(n))
+    table = "condition 3: the column obeys the generator table"
+    # d_1 (w1 + x3) = d_1 w1 as the table says, but d_2 (w1 + x3) = -1, not 0
+    theta = [ExtPoly.odd(1, n) + ExtPoly.x(3, n), ExtPoly.odd(2, n), ExtPoly.odd(3, n)]
+    assert not {c.check: c.passed for c in check_char2(P, theta).checks}[table]
+    # dx1 - s_1 dx1 = dx1 - dx2 has no quotient by x1 - x2; nothing is divided
+    bare_dx = [ExtPoly.odd(i, n, DX) for i in range(1, n + 1)]
+    assert not {c.check: c.passed for c in check_char2(P, bare_dx).checks}[table]
 
 
 def test_exterior_derivatives_of_invariants_are_killed():
