@@ -1,10 +1,12 @@
 """Term-level arithmetic kernels on sparse polynomial dicts.
 
 A polynomial with odd generators is stored as a dict mapping
-``(xexp, omask) -> Fraction`` where ``xexp`` is a tuple of nonnegative
+``(xexp, omask) -> coefficient`` where ``xexp`` is a tuple of nonnegative
 integer exponents (one slot per even variable) and ``omask`` is a strictly
-increasing tuple of 1-based odd-generator indices.  Coefficients are kept
-nonzero; all functions return fresh dicts and never mutate their inputs.
+increasing tuple of 1-based odd-generator indices.  A coefficient is an
+``int`` when integral, else a ``Fraction``; the kernels only add, subtract
+and multiply, so they keep whatever type they are given.  Coefficients are
+kept nonzero; all functions return fresh dicts and never mutate their inputs.
 """
 
 

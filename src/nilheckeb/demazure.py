@@ -3,7 +3,9 @@
 For i < n the operator is (id - s_i)/(x_i - x_{i+1}); for the sign
 generator it is (id - s_n)/(2 x_n).  Both act on the twisted extended
 ring; the division is exact and raises DivisionError if not, so every
-application doubles as a consistency assertion.
+application doubles as a consistency assertion.  Both map integral
+polynomials to integral ones (f - s_n f has even coefficients), and the
+halving keeps an even ``int`` an ``int``.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from .weylb import (
 
 __all__ = ["demazure", "demazure_word", "demazure_w", "verify_nil_relations"]
 
-_HALF = Fraction(1, 2)
-
 
 def demazure(i, f):
     """Apply the i-th divided difference (1-based, i = n is the sign one)."""
@@ -34,7 +34,15 @@ def demazure(i, f):
     diff = f - act_gen(i, f)
     if i < n:
         return exact_div_linear(diff, i, i + 1)
-    return exact_div_linear(diff, n) * _HALF
+    quot = exact_div_linear(diff, n)
+    return ExtPoly(n, f.family, {k: _half(c) for k, c in quot.terms.items()})
+
+
+def _half(c):
+    """c / 2, exactly; an even ``int`` stays an ``int``."""
+    if type(c) is int:
+        return Fraction(c, 2) if c & 1 else c >> 1
+    return c / 2
 
 
 def demazure_word(word, f):

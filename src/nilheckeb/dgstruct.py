@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .demazure import demazure
-from .extpoly import DGN, OMEGA, ExtPoly, degree, random_poly
+from .extpoly import DGN, OMEGA, ExtPoly, degree, normalize_coeff, random_poly
 from .nilhecke import NHElement, nh_mul
 from .report import SuiteReport
 from .schur import homog_B
@@ -171,9 +171,9 @@ def _random_parity_nh(n, rng):
         size = parity + 2 * rng.randrange(0, (n - parity) // 2 + 1)
         mask = tuple(sorted(pool[:size]))
         w = tuple(rng.randrange(1, n + 1) for _ in range(rng.randrange(3)))
-        coeff = Fraction(rng.randrange(1, 5), rng.randrange(1, 3))
+        coeff = normalize_coeff(Fraction(rng.randrange(1, 5), rng.randrange(1, 3)))
         key = (xe, mask, w)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
+        terms[key] = terms.get(key, 0) + coeff
     out = NHElement.zero(n)
     for (xe, mask, w), c in terms.items():
         mono = NHElement.from_poly(ExtPoly(n, OMEGA, {(xe, mask): c}))

@@ -8,14 +8,19 @@ mixed inside one element:
   divided-difference calculus acts on);
 * ``DX`` -- generators rendered ``dx1..dxn`` (one-forms).
 
-Terms are stored sparsely as ``(xexp, omask) -> Fraction`` with ``xexp``
-a tuple of n exponents and ``omask`` a strictly increasing tuple of
-1-based odd indices; reordering signs are absorbed at construction.
+Terms are stored sparsely as ``(xexp, omask) -> coefficient`` with
+``xexp`` a tuple of n exponents and ``omask`` a strictly increasing tuple
+of 1-based odd indices; reordering signs are absorbed at construction.
+A coefficient is an ``int`` when integral, else a ``Fraction``: every
+constructor passes its coefficients through ``normalize_coeff``, and the
+divided differences map integral polynomials to integral ones, so a
+denominator appears only where the input or a solve puts one.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import random
 import re
 from fractions import Fraction
@@ -30,6 +35,7 @@ __all__ = [
     "DX",
     "ExtPoly",
     "DivisionError",
+    "normalize_coeff",
     "Grading",
     "XDEG",
     "BIDEG",
@@ -50,6 +56,23 @@ class DivisionError(ArithmeticError):
     def __init__(self, message, remainder=None):
         super().__init__(message)
         self.remainder = remainder
+
+
+def normalize_coeff(c):
+    """A coefficient as an ``int`` when integral, else as a ``Fraction``.
+
+    Takes integers, rationals and their text (``"3"``, ``"-1/2"``).  A
+    float or a bool raises TypeError: neither is read as a coefficient.
+    """
+    if type(c) is int:
+        return c
+    if isinstance(c, str):
+        c = Fraction(c)
+    elif isinstance(c, bool) or not isinstance(c, numbers.Rational):
+        raise TypeError(f"coefficient {c!r} is not an integer or a fraction")
+    if c.denominator == 1:
+        return int(c.numerator)
+    return Fraction(c)
 
 
 def _normalize_mask(seq):
@@ -87,7 +110,7 @@ class ExtPoly:
 
     @classmethod
     def const(cls, nvars, c, family=OMEGA):
-        c = Fraction(c)
+        c = normalize_coeff(c)
         if not c:
             return cls.zero(nvars, family)
         return cls(nvars, family, {((0,) * nvars, ()): c})
@@ -103,21 +126,21 @@ class ExtPoly:
             raise ValueError(f"variable index {i} out of range 1..{nvars}")
         e = [0] * nvars
         e[i - 1] = 1
-        return cls(nvars, family, {(tuple(e), ()): Fraction(1)})
+        return cls(nvars, family, {(tuple(e), ()): 1})
 
     @classmethod
     def odd(cls, i, nvars, family=OMEGA):
         """The odd generator (w_i or dx_i, by family), 1-based."""
         if not 1 <= i <= nvars:
             raise ValueError(f"odd index {i} out of range 1..{nvars}")
-        return cls(nvars, family, {((0,) * nvars, (i,)): Fraction(1)})
+        return cls(nvars, family, {((0,) * nvars, (i,)): 1})
 
     @classmethod
     def from_terms(cls, nvars, entries, family=OMEGA):
         """Build from ``(coeff, xexp, odd_seq)`` triples; odd order may be free."""
         acc = {}
         for coeff, xexp, odd_seq in entries:
-            c = Fraction(coeff)
+            c = normalize_coeff(coeff)
             if not c:
                 continue
             xexp = tuple(xexp)
@@ -144,7 +167,7 @@ class ExtPoly:
         return bool(self.terms)
 
     def coeff_of(self, xexp, omask=()):
-        return self.terms.get((tuple(xexp), tuple(omask)), Fraction(0))
+        return self.terms.get((tuple(xexp), tuple(omask)), 0)
 
     def constant_term(self):
         return self.coeff_of((0,) * self.nvars)
@@ -189,11 +212,12 @@ class ExtPoly:
         return (-self) + other
 
     def __neg__(self):
-        return ExtPoly(self.nvars, self.family, _k.scale_terms(self.terms, Fraction(-1)))
+        return ExtPoly(self.nvars, self.family, _k.scale_terms(self.terms, -1))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return ExtPoly(self.nvars, self.family, _k.scale_terms(self.terms, Fraction(other)))
+            return ExtPoly(self.nvars, self.family,
+                           _k.scale_terms(self.terms, normalize_coeff(other)))
         if not isinstance(other, ExtPoly):
             return NotImplemented
         self._check(other)
@@ -390,7 +414,7 @@ def parse_term(chunk, nvars):
 
     family is None when no odd generator occurs in the chunk.
     """
-    coeff = Fraction(1)
+    coeff = 1
     xexp = [0] * nvars
     odd_seq = []
     family = None
@@ -420,7 +444,7 @@ def parse_term(chunk, nvars):
             elif family != fam:
                 raise ValueError("mixed odd families in one term")
             odd_seq.append(i)
-    return coeff, tuple(xexp), odd_seq, family
+    return normalize_coeff(coeff), tuple(xexp), odd_seq, family
 
 
 def parse(text, nvars, family=None):
@@ -459,9 +483,7 @@ def to_json(f):
 def from_json(obj):
     if isinstance(obj, str):
         obj = json.loads(obj)
-    entries = [
-        (Fraction(t["coeff"]), tuple(t["x"]), tuple(t["odd"])) for t in obj["terms"]
-    ]
+    entries = [(t["coeff"], tuple(t["x"]), tuple(t["odd"])) for t in obj["terms"]]
     return ExtPoly.from_terms(obj["nvars"], entries, obj["odd"])
 
 

@@ -1,10 +1,11 @@
 """The extended nilHecke algebra of type B in PBW form.
 
 Elements are sums of terms ``x^a * w^mask * D_w`` with rational
-coefficients, stored as ``(xexp, omask, window) -> Fraction``.  The
-ground truth for the multiplication is the faithful action on the
-extended polynomial ring: a divided difference is pushed through a
-polynomial with the operator form of the twisted Leibniz rule,
+coefficients, stored as ``(xexp, omask, window) -> coefficient``: an
+``int`` when integral, else a ``Fraction``.  The ground truth for the
+multiplication is the faithful action on the extended polynomial ring: a
+divided difference is pushed through a polynomial with the operator form
+of the twisted Leibniz rule,
 
     D_i * g  =  D_i(g)  +  s_i(g) * D_i,
 
@@ -23,8 +24,8 @@ from fractions import Fraction
 
 from . import _kernels_py as _k
 from .demazure import demazure, demazure_w
-from .extpoly import (OMEGA, ExtPoly, join_terms, monomial_factors, parse_term,
-                      random_poly, split_terms)
+from .extpoly import (OMEGA, ExtPoly, join_terms, monomial_factors, normalize_coeff,
+                      parse_term, random_poly, split_terms)
 from .report import SuiteReport
 from .schur import schubert
 from .weylb import (
@@ -81,7 +82,7 @@ class NHElement:
         """The basis operator D_w of a group element."""
         n = w.n
         e0 = (0,) * n
-        return cls(n, {(e0, (), w.window): Fraction(1)})
+        return cls(n, {(e0, (), w.window): 1})
 
     @classmethod
     def dee_word(cls, word, n):
@@ -142,7 +143,7 @@ class NHElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return NHElement(self.nvars, _k.scale_terms(self.terms, Fraction(other)))
+            return NHElement(self.nvars, _k.scale_terms(self.terms, normalize_coeff(other)))
         if isinstance(other, NHElement):
             return nh_mul(self, other)
         return NotImplemented
@@ -339,9 +340,10 @@ def _random_nh(n, rng, group, max_terms=3):
         e = tuple(rng.randint(0, 2) for _ in range(n))
         m = tuple(i for i in range(1, n + 1) if rng.random() < 0.3)
         w = rng.choice(group)
-        c = Fraction(rng.choice([c for c in range(-4, 5) if c]), rng.randint(1, 3))
+        c = normalize_coeff(Fraction(rng.choice([c for c in range(-4, 5) if c]),
+                                     rng.randint(1, 3)))
         key = (e, m, w.window)
-        terms[key] = terms.get(key, Fraction(0)) + c
+        terms[key] = terms.get(key, 0) + c
     return NHElement(n, {k: v for k, v in terms.items() if v})
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from fractions import Fraction
 
 from . import linalg
 from .demazure import demazure, demazure_w
@@ -72,7 +71,7 @@ def _square_monomials(combos, nvars):
         e = [0] * nvars
         for v in combo:
             e[v - 1] += 2
-        terms[(tuple(e), ())] = Fraction(1)
+        terms[(tuple(e), ())] = 1
     return ExtPoly(nvars, OMEGA, terms)
 
 
@@ -96,7 +95,7 @@ def staircase(alpha, n):
     """The monomial x^(delta+alpha) with delta_i = 2(n-i)+1."""
     alpha = _pad_partition(alpha, n)
     e = tuple(2 * (n - i) + 1 + alpha[i - 1] for i in range(1, n + 1))
-    return ExtPoly(n, OMEGA, {(e, ()): Fraction(1)})
+    return ExtPoly(n, OMEGA, {(e, ()): 1})
 
 
 def _check_strict(beta, n):
@@ -109,7 +108,7 @@ def _check_strict(beta, n):
 def omega_mono(beta, n):
     """The product of odd generators over a strictly increasing index tuple."""
     beta = _check_strict(beta, n)
-    return ExtPoly(n, OMEGA, {((0,) * n, beta): Fraction(1)})
+    return ExtPoly(n, OMEGA, {((0,) * n, beta): 1})
 
 
 def schur_ext(alpha, beta, n):
@@ -125,7 +124,7 @@ def schur_ext(alpha, beta, n):
     """
     alpha = _pad_partition(alpha, n)
     e = tuple(2 * i - 1 + alpha[n - i] for i in range(1, n + 1))
-    f = ExtPoly(n, OMEGA, {(e, ()): Fraction(1)}) * omega_mono(beta, n)
+    f = ExtPoly(n, OMEGA, {(e, ()): 1}) * omega_mono(beta, n)
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return demazure_w(longest_element(n), f) * sign
 
@@ -279,9 +278,9 @@ def decompose_schubert(f):
             raise RuntimeError(f"no candidates for degree {d} component")
         cols = []
         for *_, prod in candidates:
-            cols.append([prod.terms.get(k, Fraction(0)) for k in keys])
+            cols.append([prod.terms.get(k, 0) for k in keys])
         rows = [[cols[c][r] for c in range(len(cols))] for r in range(len(keys))]
-        rhs = [comp.terms.get(k, Fraction(0)) for k in keys]
+        rhs = [comp.terms.get(k, 0) for k in keys]
         sol = linalg.solve(rows, rhs)
         if sol is None:
             raise RuntimeError(f"graded solve failed in degree {d}")

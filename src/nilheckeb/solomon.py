@@ -81,12 +81,21 @@ def chain_word(j, n):
     return tuple(out)
 
 
+def _one_per_variable(polys, what):
+    """polys as a tuple, checked to share one rank and hold one entry per variable."""
+    polys = tuple(polys)
+    ranks = sorted({q.nvars for q in polys})
+    if not polys:
+        raise ValueError(f"expected one of the {what} per variable, got none")
+    if len(ranks) > 1:
+        raise ValueError(f"the {what} mix the ranks {', '.join(map(str, ranks))}")
+    if ranks[0] != len(polys):
+        raise ValueError(f"expected {ranks[0]} {what}, one per variable, got {len(polys)}")
+    return polys
+
+
 def _admissible_tuple(p):
-    """p as a tuple, checked to hold one entry per variable."""
-    p = tuple(p)
-    if not p or any(q.nvars != len(p) for q in p):
-        raise ValueError("an admissible tuple needs one entry per variable")
-    return p
+    return _one_per_variable(p, "admissible-tuple entries")
 
 
 def default_admissible(n):
@@ -98,7 +107,7 @@ def default_admissible(n):
         e = [0] * n
         e[n - 1] = 2 * (n - i)
         sign = -1 if (n - i) % 2 else 1
-        entries.append(ExtPoly(n, OMEGA, {(tuple(e), ()): Fraction(sign)}))
+        entries.append(ExtPoly(n, OMEGA, {(tuple(e), ()): sign}))
     return tuple(entries)
 
 
@@ -214,7 +223,7 @@ class PolyMatrix:
         zero = ExtPoly.zero(n)
         inv = [[zero for _ in range(size)] for _ in range(size)]
         for j in range(size):
-            inv[j][j] = ExtPoly.const(n, Fraction(1, 1) / diag[j])
+            inv[j][j] = ExtPoly.const(n, Fraction(1) / diag[j])
         for j in reversed(range(size)):
             for k in range(j + 1, size):
                 acc = zero
@@ -374,7 +383,10 @@ def build_J(fgens=None, p=None, n=None):
         if n is None:
             raise ValueError("need either generators or the variable count")
         fgens = default_invariant_gens(n)
-    n = fgens[0].nvars
+    fgens = _one_per_variable(fgens, "invariant generators")
+    if n is not None and n != len(fgens):
+        raise ValueError(f"n = {n} disagrees with the generators' rank {len(fgens)}")
+    n = len(fgens)
     p = default_admissible(n) if p is None else _admissible_tuple(p)
     if not validate_admissible(p).passed:
         raise ValueError(f"tuple ({', '.join(map(render, p))}) is not admissible")
@@ -390,7 +402,7 @@ def verify_J(n, fgens=None, p=None, trials=8, seed=0):
     rng = random.Random(seed)
     if fgens is None:
         fgens = default_invariant_gens(n)
-    J = build_J(fgens, p)
+    J = build_J(fgens, p, n)
     xf = lambda i: ExtPoly.x(i, n, DX)
 
     rep.add("generator images are bihomogeneous of the right degrees", _images_bihomogeneous(J))
@@ -439,7 +451,7 @@ def _invariant_dimension(n, a, b):
     """Dimension of the s_i-invariant dx polynomials of x-degree a with b dx letters."""
     masks = list(itertools.combinations(range(1, n + 1), b))
     monos = [
-        ExtPoly(n, DX, {(e, m): Fraction(1)}) for e in exponents((1,) * n, a) for m in masks
+        ExtPoly(n, DX, {(e, m): 1}) for e in exponents((1,) * n, a) for m in masks
     ]
     moved = [act_gen(i, f) - f for i in range(1, n + 1) for f in monos]
     return len(monos) - linalg.span_rank(moved)

@@ -1,6 +1,7 @@
 """Divided differences against a symbolic oracle, plus their relations."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -36,6 +37,22 @@ def test_matches_symbolic_oracle_on_even_polynomials(n):
             reference.sy_demazure(i, reference.to_sympy(f), n), n
         )
         assert got == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sign_operator_halves_odd_numerators_exactly(n):
+    # f - s_n f has the numerators 2c, so c / 2 must come back whole
+    rng = random.Random(20 + n)
+    for _ in range(15):
+        entries = [(Fraction(rng.choice([-5, -3, -1, 1, 3, 5]), rng.randint(1, 4)),
+                    tuple(rng.randint(0, 4) for _ in range(n)), ())
+                   for _ in range(rng.randint(1, 5))]
+        f = ExtPoly.from_terms(n, entries)
+        for i in range(1, n + 1):
+            want = reference.from_sympy(
+                reference.sy_demazure(i, reference.to_sympy(f), n), n
+            )
+            assert demazure(i, f) == want
 
 
 def test_hand_values():

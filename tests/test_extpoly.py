@@ -16,9 +16,12 @@ from nilheckeb import (
     XDEG,
     DivisionError,
     ExtPoly,
+    act_gen,
     degree,
+    demazure,
     exact_div_linear,
     from_json,
+    normalize_coeff,
     parse,
     random_poly,
     render,
@@ -158,6 +161,69 @@ def test_json_round_trip(seed):
     obj = to_json(f)
     assert obj["nvars"] == 3
     assert from_json(obj) == f
+
+
+def test_coefficients_are_int_when_integral():
+    assert type(normalize_coeff(Fraction(6, 3))) is int
+    assert normalize_coeff("-4/2") == -2 and type(normalize_coeff("-4/2")) is int
+    assert normalize_coeff("1/3") == Fraction(1, 3)
+    assert type(ExtPoly.const(2, Fraction(4, 2)).constant_term()) is int
+    assert type(parse("2*1/2*x1", 2).coeff_of((1, 0))) is int
+    assert render(ExtPoly.const(2, Fraction(4, 2))) == render(ExtPoly.const(2, 2)) == "2"
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, 2.0, float("nan"), True, None, 1j])
+def test_float_and_other_coefficients_are_rejected(bad):
+    with pytest.raises(TypeError):
+        ExtPoly.const(2, bad)
+    with pytest.raises(TypeError):
+        ExtPoly.from_terms(2, [(bad, (1, 0), ())])
+    with pytest.raises(TypeError):
+        from_json({"nvars": 2, "odd": OMEGA, "terms": [{"coeff": bad, "x": [1, 0], "odd": []}]})
+
+
+def test_from_json_takes_integers_and_strings():
+    text = '{"nvars": 2, "odd": "w", "terms": [%s]}'
+    term = '{"coeff": %s, "x": [1, 0], "odd": []}'
+    for coeff, want in (("3", 3), ('"3"', 3), ('"-1/2"', Fraction(-1, 2)), ('"4/2"', 2)):
+        f = from_json(text % (term % coeff))
+        assert f.coeff_of((1, 0)) == want and type(f.coeff_of((1, 0))) is type(want)
+    with pytest.raises(TypeError):
+        from_json(text % (term % "0.5"))
+
+
+def _all_int(f):
+    return all(type(c) is int for c in f.terms.values())
+
+
+@st.composite
+def int_polys(draw, n, family):
+    term = st.tuples(
+        st.integers(-6, 6).filter(bool),
+        st.tuples(*[st.integers(0, 3)] * n),
+        st.sets(st.integers(1, n)).map(lambda m: tuple(sorted(m))),
+    )
+    return ExtPoly.from_terms(n, draw(st.lists(term, min_size=1, max_size=4)), family)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_integral_coefficients_stay_int(data):
+    n = data.draw(st.sampled_from([1, 2, 3]))
+    family = data.draw(st.sampled_from([OMEGA, DX]))
+    f, g = data.draw(int_polys(n, family)), data.draw(int_polys(n, family))
+    k = data.draw(st.integers(-4, 4))
+    i = data.draw(st.integers(1, n))
+    results = [f + g, f - g, f * g, -f, f * k, k * f, f * Fraction(k), f + k, k - f,
+               act_gen(i, f), parse(render(f), n, family), from_json(to_json(f))]
+    if family == OMEGA:
+        results.append(demazure(i, f))
+    x = lambda j: ExtPoly.x(j, n, family)
+    results.append(exact_div_linear(x(i) * f, i))
+    if i < n:
+        results.append(exact_div_linear((x(i) - x(n)) * f, i, n))
+    for r in results:
+        assert _all_int(r), render(r)
 
 
 def test_gradings():

@@ -134,6 +134,15 @@ def test_decompose_schubert_round_trip():
         assert back == f
 
 
+def test_rank_four_results_carry_int_coefficients():
+    n = 4
+    polys = [schubert(w, n) for w in enumerate_group(n)]
+    assert len(polys) == 384
+    polys += [schur_ext((), beta, n) for k in range(n + 1)
+              for beta in itertools.combinations(range(1, n + 1), k)]
+    assert all(type(c) is int for f in polys for c in f.terms.values())
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_suite_green(n):
     rep = verify_schur(n, trials=10, seed=0)

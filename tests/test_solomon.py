@@ -58,6 +58,28 @@ def test_tuple_must_have_one_entry_per_variable():
     assert p_matrix(list(default_admissible(3))) == p_matrix(default_admissible(3))
 
 
+def test_build_J_rejects_generators_of_the_wrong_count():
+    # two generators at rank 3 once gave a third image 0 without a word
+    with pytest.raises(ValueError, match="expected 3 invariant generators"):
+        build_J(fgens=default_invariant_gens(3)[:2])
+    with pytest.raises(ValueError, match="got none"):
+        build_J(fgens=[])
+
+
+def test_build_J_rejects_generators_of_mixed_ranks():
+    mixed = default_invariant_gens(3)[:2] + default_invariant_gens(2)[:1]
+    with pytest.raises(ValueError, match="mix the ranks 2, 3"):
+        build_J(fgens=mixed)
+
+
+def test_build_J_rejects_a_rank_other_than_the_generators():
+    with pytest.raises(ValueError, match="n = 2 disagrees"):
+        build_J(fgens=default_invariant_gens(3), n=2)
+    with pytest.raises(ValueError, match="n = 2 disagrees"):
+        verify_J(2, fgens=default_invariant_gens(3))
+    assert build_J(fgens=default_invariant_gens(3), n=3).images == build_J(n=3).images
+
+
 def test_chain_on_default_tuple_gives_unit():
     n = 3
     p1, p2, p3 = default_admissible(n)
