@@ -3,7 +3,7 @@
 Even polynomials map into the dx superalgebra via the exterior
 derivative, on which the group and the divided differences act as on
 the w generators.  An admissible tuple p of even polynomials yields an
-upper triangular matrix P with constant diagonal; inverting it against
+upper triangular matrix P with constant diagonal; solving it against
 the exterior derivatives of invariant generators f produces a map J
 from the odd generators into the dx ring obeying the same
 divided-difference table as the w generators.  Admissible tuples are
@@ -16,7 +16,9 @@ for k < n and alpha_n = 2 x_n.  Nothing is divided.
 
 from __future__ import annotations
 
+import collections
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -29,11 +31,12 @@ from .extpoly import (
     ExtPoly,
     XDEG,
     degree,
+    normalize_coeff,
     render,
 )
 from .report import SuiteReport
-from .schur import default_invariant_gens, exponents, invariant_schur_basis
-from .weylb import act_gen
+from .schur import _lambda_monomials, default_invariant_gens, invariant_schur_basis
+from .weylb import act_gen, enumerate_group
 
 __all__ = [
     "PolyMatrix",
@@ -145,48 +148,28 @@ class PolyMatrix:
 
     __slots__ = ("entries", "nvars")
 
-    def __init__(self, entries, nvars=None):
+    def __init__(self, entries):
         entries = [list(row) for row in entries]
         size = len(entries)
         if any(len(row) != size for row in entries):
             raise ValueError("matrix must be square")
-        if nvars is None:
-            nvars = entries[0][0].nvars
         self.entries = entries
-        self.nvars = nvars
-
-    @classmethod
-    def identity(cls, size, nvars):
-        one = ExtPoly.one(nvars)
-        zero = ExtPoly.zero(nvars)
-        return cls(
-            [[one if i == j else zero for j in range(size)] for i in range(size)],
-            nvars,
-        )
-
-    @property
-    def size(self):
-        return len(self.entries)
+        self.nvars = entries[0][0].nvars
 
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i - 1][j - 1]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PolyMatrix)
-            and self.size == other.size
-            and all(
-                a == b
-                for ra, rb in zip(self.entries, other.entries)
-                for a, b in zip(ra, rb)
-            )
-        )
+        return isinstance(other, PolyMatrix) and self.entries == other.entries
 
     __hash__ = None
 
     def mul_vector(self, vec):
-        """Matrix times a column of (possibly odd) polynomials."""
+        """Matrix times a column of (possibly odd) polynomials, one per row."""
+        if len(vec) != len(self.entries):
+            raise ValueError(
+                f"a column of {len(vec)} entries against a matrix of size {len(self.entries)}")
         out = []
         for row in self.entries:
             acc = None
@@ -195,42 +178,6 @@ class PolyMatrix:
                 acc = piece if acc is None else acc + piece
             out.append(acc)
         return out
-
-    def mul(self, other):
-        """Matrix product."""
-        size = self.size
-        zero = ExtPoly.zero(self.nvars)
-        out = [[zero for _ in range(size)] for _ in range(size)]
-        for a in range(size):
-            for b in range(size):
-                acc = zero
-                for t in range(size):
-                    acc = acc + self.entries[a][t] * other.entries[t][b]
-                out[a][b] = acc
-        return PolyMatrix(out, self.nvars)
-
-    def invert_upper(self):
-        """Inverse of an upper triangular matrix with constant diagonal."""
-        size = self.size
-        n = self.nvars
-        diag = []
-        for t in range(size):
-            d = self.entries[t][t]
-            c = d.constant_term()
-            if d != ExtPoly.const(n, c) or not c:
-                raise ValueError("diagonal must be nonzero constants")
-            diag.append(c)
-        zero = ExtPoly.zero(n)
-        inv = [[zero for _ in range(size)] for _ in range(size)]
-        for j in range(size):
-            inv[j][j] = ExtPoly.const(n, Fraction(1) / diag[j])
-        for j in reversed(range(size)):
-            for k in range(j + 1, size):
-                acc = zero
-                for t in range(j + 1, k + 1):
-                    acc = acc + self.entries[j][t] * inv[t][k]
-                inv[j][k] = acc * (Fraction(-1) / diag[j])
-        return PolyMatrix(inv, n)
 
     def __repr__(self):
         rows = [
@@ -246,7 +193,7 @@ def p_matrix(p):
     rows = []
     for pi in p:
         rows.append([demazure_word(chain_word(j, n), pi) for j in range(1, n + 1)])
-    return PolyMatrix(rows, n)
+    return PolyMatrix(rows)
 
 
 def check_char1(p):
@@ -321,7 +268,9 @@ def check_char2(P, theta):
     two and three are checked as identities of the group action.
     """
     n = P.nvars
-    theta = list(theta)
+    theta = _one_per_variable(theta, "column entries")
+    if len(theta) != n:
+        raise ValueError(f"a column of rank {len(theta)} against a matrix of rank {n}")
     rep = SuiteReport("char2")
 
     shifts, killed = _column_conditions(P)
@@ -378,7 +327,11 @@ class JMap:
 
 
 def build_J(fgens=None, p=None, n=None):
-    """Solve the matrix relation df = P * J(w) for the generator images."""
+    """Solve the matrix relation df = P * J(w) for the generator images.
+
+    P is upper triangular with constant diagonal, so back substitution gives
+    J_j = (df_j - sum_{t>j} P_jt J_t) / P_jj for j = n, ..., 1.
+    """
     if fgens is None:
         if n is None:
             raise ValueError("need either generators or the variable count")
@@ -390,10 +343,17 @@ def build_J(fgens=None, p=None, n=None):
     p = default_admissible(n) if p is None else _admissible_tuple(p)
     if not validate_admissible(p).passed:
         raise ValueError(f"tuple ({', '.join(map(render, p))}) is not admissible")
-    P = p_matrix(p)
-    Pinv = P.invert_upper()
-    dfs = [exterior_d(f) for f in fgens]
-    images = Pinv.mul_vector(dfs)
+    P = p_matrix(p).entries
+    images = [None] * n
+    for j in reversed(range(n)):
+        c = P[j][j].constant_term()
+        if not c or P[j][j] != c:
+            raise ValueError("the diagonal of P must be nonzero constants")
+        rest = exterior_d(fgens[j])
+        for t in range(j + 1, n):
+            rest = rest - P[j][t].as_family(DX) * images[t]
+        images[j] = ExtPoly(n, DX, {k: normalize_coeff(Fraction(v) / c)
+                                    for k, v in rest.terms.items()})
     return JMap(images, n)
 
 
@@ -447,47 +407,75 @@ def _images_bihomogeneous(J):
 # -- invariant dimension comparison -------------------------------------
 
 
-def _invariant_dimension(n, a, b):
-    """Dimension of the s_i-invariant dx polynomials of x-degree a with b dx letters."""
-    masks = list(itertools.combinations(range(1, n + 1), b))
-    monos = [
-        ExtPoly(n, DX, {(e, m): 1}) for e in exponents((1,) * n, a) for m in masks
-    ]
-    moved = [act_gen(i, f) - f for i in range(1, n + 1) for f in monos]
-    return len(monos) - linalg.span_rank(moved)
+_MAX_XDEG = 6  # solomon_compare checks every bidegree (a, b) with a <= 6
 
 
-def solomon_compare(n, max_bidegree=(6, None)):
-    """Invariants of the dx ring versus the span of f and df monomials."""
-    if n > 2:
-        raise ValueError("the comparison is desk-scale only")
-    max_x, max_dx = max_bidegree
-    if max_dx is None:
-        max_dx = n
+def _signed_cycle_type(w):
+    """The sorted (length, product of signs) of the cycles of w."""
+    win = w.window
+    seen = set()
+    out = []
+    for start in range(1, len(win) + 1):
+        if start in seen:
+            continue
+        k, sign, i = 0, 1, start
+        while i not in seen:
+            seen.add(i)
+            k += 1
+            sign = sign if win[i - 1] > 0 else -sign
+            i = abs(win[i - 1])
+        out.append((k, sign))
+    return tuple(sorted(out))
+
+
+def _invariant_dimensions(n, max_a):
+    """dims[a][b]: the dimension of the invariant dx polynomials of x-degree a
+    with b dx letters, for a <= max_a and b <= n.
+
+    Molien's formula: the generating function is
+    |W|^-1 sum_w det(1 + t w) / det(1 - q w), as w acts alike on the x and on
+    the dx.  A k-cycle of w whose signs multiply to e contributes the factors
+    1 - e (-t)^k and 1 / (1 - e q^k), so the sum runs over signed cycle types.
+    """
+    classes = collections.Counter(_signed_cycle_type(w) for w in enumerate_group(n))
+    total = [[0] * (n + 1) for _ in range(max_a + 1)]
+    for cycles, size in classes.items():
+        series = [[0] * (n + 1) for _ in range(max_a + 1)]
+        series[0][0] = size
+        for k, sign in cycles:
+            tk = sign * (-1) ** k  # 1 - e (-t)^k = 1 - tk t^k
+            for row in series:
+                for b in reversed(range(k, n + 1)):
+                    row[b] -= tk * row[b - k]
+            for a in range(k, max_a + 1):
+                series[a] = [c + sign * d for c, d in zip(series[a], series[a - k])]
+        total = [[c + d for c, d in zip(r, s)] for r, s in zip(total, series)]
+    order = sum(classes.values())
+    if any(c % order for row in total for c in row):
+        raise RuntimeError(f"a Molien sum is not divisible by |W| = {order}")
+    return [[c // order for c in row] for row in total]
+
+
+def solomon_compare(n):
+    """Invariants of the dx ring versus the span of f and df monomials, in
+    every bidegree (a, b) with a <= 6 and b <= n."""
     rep = SuiteReport(f"solomon(n={n})")
     fgens = default_invariant_gens(n)
+    fdx = [f.as_family(DX) for f in fgens]
     dfs = [exterior_d(f) for f in fgens]
-    fdegs = [2 * (n - i + 1) for i in range(1, n + 1)]
+    dims = _invariant_dimensions(n, _MAX_XDEG)
 
-    for b in range(0, max_dx + 1):
-        for a in range(0, max_x + 1):
-            dim_inv = _invariant_dimension(n, a, b)
-            prods = []
-            for T in itertools.combinations(range(n), b):
-                rest = a - sum(fdegs[t] - 1 for t in T)
-                for expo in exponents(fdegs, rest):
-                    g = ExtPoly.one(n, DX)
-                    for i, e in enumerate(expo):
-                        for _ in range(e):
-                            g = g * fgens[i].as_family(DX)
-                    for t in T:
-                        g = g * dfs[t]
-                    if not g.is_zero():
-                        prods.append(g)
-            dim_span = linalg.span_rank(prods)
+    for b in range(n + 1):
+        dTs = []  # (x-degree, product) for each product of b distinct df
+        for T in itertools.combinations(range(n), b):
+            deg = sum(2 * (n - t) - 1 for t in T)
+            if deg <= _MAX_XDEG:
+                dTs.append((deg, math.prod((dfs[t] for t in T), start=ExtPoly.one(n, DX))))
+        for a in range(_MAX_XDEG + 1):
+            prods = [m * dT for deg, dT in dTs for m in _lambda_monomials(n, a - deg, fdx)]
             rep.add(
-                f"bidegree ({a},{b}): invariant dimension {dim_inv}",
-                dim_inv == dim_span,
+                f"bidegree ({a},{b}): invariant dimension {dims[a][b]}",
+                dims[a][b] == linalg.span_rank(prods),
             )
     return rep
 
@@ -524,7 +512,7 @@ def verify_solomon(n, trials=8, seed=0):
     bad = [ExtPoly.x(1, n, OMEGA) * ExtPoly.odd(1, n)] + [
         ExtPoly.odd(i + 1, n) for i in range(1, n)
     ]
-    c2 = check_char2(PolyMatrix.identity(n, n), bad)
+    c2 = check_char2(P, bad)
     checks = {c.check: c.passed for c in c2.checks}
     rep.add(
         "characterization two flags a broken column",
@@ -535,9 +523,7 @@ def verify_solomon(n, trials=8, seed=0):
 
     rep.add("equivariance suite", verify_J(n, trials=trials, seed=seed).passed)
 
-    if n <= 2:
-        rep.add("invariant dimensions match the generator picture",
-                solomon_compare(n, (6, None)).passed)
+    rep.add("invariant dimensions match the generator picture", solomon_compare(n).passed)
 
     return rep
 

@@ -222,9 +222,9 @@ def longest_word(n):
 
 
 def enumerate_group(n):
-    """All 2^n n! elements, sorted by window (n <= 4)."""
-    if n > 4:
-        raise ValueError("group enumeration is capped at n = 4")
+    """All 2^n n! elements, sorted by window (n <= 5)."""
+    if n > 5:
+        raise ValueError("group enumeration is capped at n = 5")
     out = []
     for perm in itertools.permutations(range(1, n + 1)):
         for signs in itertools.product((1, -1), repeat=n):
@@ -291,7 +291,7 @@ def verify_weyl(n, trials=25, seed=0):
     rep = SuiteReport(f"weyl(n={n})")
     rng = random.Random(seed)
 
-    if n <= 4:
+    if n <= 5:
         group = enumerate_group(n)
         rep.add("group order", len(group) == (2**n) * math.factorial(n), f"|W| = {len(group)}")
         rep.add(

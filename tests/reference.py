@@ -3,10 +3,12 @@
 Everything here is written from scratch on sympy and plain tuples: a
 symbolic divided difference for even polynomials, the closed form of
 the solved images J(w_j), and a breadth-first model of the
-signed-permutation group.  The one exception is the
-brute-force operator product ``oracle_nh_mul``, which borrows the
+signed-permutation group.  There are two exceptions.  The
+brute-force operator product ``oracle_nh_mul`` borrows the
 package's single-letter operators and polynomial arithmetic but does its
-own word expansion and group bookkeeping.
+own word expansion and group bookkeeping.  The dense invariant count
+``oracle_invariant_dimension`` borrows ``act_gen`` and
+``linalg.span_rank`` but not Molien's formula, which it checks.
 """
 
 import itertools
@@ -15,6 +17,7 @@ from fractions import Fraction
 import sympy
 
 from nilheckeb import DX, ExtPoly, NHElement, OMEGA, act_gen, demazure
+from nilheckeb.linalg import span_rank
 
 
 def sy_vars(n):
@@ -80,6 +83,21 @@ def oracle_J_image(j, n):
         for e, q in sympy.Poly(sympy.expand(c), *xs).terms():
             entries.append((Fraction(int(q.p), int(q.q)), tuple(e), (i + 1,)))
     return ExtPoly.from_terms(n, entries, DX)
+
+
+def oracle_invariant_dimension(n, a, b):
+    """Dimension of the invariant dx polynomials of x-degree a with b dx letters.
+
+    Dense: the number of monomials minus the rank of every s_i f - f.
+    """
+    masks = list(itertools.combinations(range(1, n + 1), b))
+    monos = [
+        ExtPoly(n, DX, {(e, m): 1})
+        for e in itertools.product(range(a + 1), repeat=n) if sum(e) == a
+        for m in masks
+    ]
+    moved = [act_gen(i, f) - f for i in range(1, n + 1) for f in monos]
+    return len(monos) - span_rank(moved)
 
 
 # -- plain-tuple model of the group -------------------------------------

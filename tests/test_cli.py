@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nilheckeb import cli
+from nilheckeb import cli, poincare_formula
 from nilheckeb.report import SuiteReport
 
 
@@ -24,6 +24,17 @@ def test_poincare_text_example(capsys):
     code, out = run(capsys, ["poincare", "--n", "2"])
     assert code == 0
     assert out == "1 + 2q + 2q^2 + 2q^3 + q^4\n"
+
+
+def test_poincare_reaches_rank_five(capsys):
+    code, out = run(capsys, ["poincare", "--n", "5", "--format", "json"])
+    assert code == 0
+    assert json.loads(out) == {"n": 5, "coefficients": poincare_formula(5)}
+    code = cli.main(["poincare", "--n", "6"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "nhb poincare: group enumeration is capped at n = 5\n"
 
 
 def test_verify_all_passes(capsys):
@@ -63,6 +74,7 @@ def test_validation_failure_is_exit_one(capsys):
         (["poincare", "--n", "0"], "nhb poincare: --n"),
         (["poincare", "--n", "-1"], "nhb poincare: --n"),
         (["verify", "--n", "2", "--trials", "0"], "nhb verify: --trials"),
+        (["verify", "--n", "5", "--suite", "schur"], "capped at n = 4"),
         (["verify", "--n", "2", "--trials", "-3"], "nhb verify: --trials"),
     ]:
         code = cli.main(argv)

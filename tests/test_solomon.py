@@ -1,12 +1,13 @@
 """Exterior derivative, the admissible matrix, and J."""
 
+from fractions import Fraction
+
 import pytest
 
 import reference
 from nilheckeb import (
     DX,
     ExtPoly,
-    PolyMatrix,
     act_gen,
     build_J,
     chain_word,
@@ -24,6 +25,7 @@ from nilheckeb import (
     verify_J,
     verify_solomon,
 )
+from nilheckeb.solomon import _invariant_dimensions
 
 
 def test_exterior_derivative():
@@ -198,9 +200,32 @@ def test_mixing_matrix_values_rank_three():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_invert_upper_is_the_inverse(n):
+def test_solved_images_satisfy_the_matrix_relation(n):
     P = p_matrix(default_admissible(n))
-    assert P.mul(P.invert_upper()) == PolyMatrix.identity(n, n)
+    assert P.mul_vector(build_J(n=n).images) == [exterior_d(f) for f in default_invariant_gens(n)]
+
+
+def test_doubled_tuple_halves_the_images():
+    # 2p is admissible with diagonal 2: the one case that divides by a P_jj other than 1
+    for n in (2, 3, 4):
+        doubled = tuple(2 * q for q in default_admissible(n))
+        assert validate_admissible(doubled).passed
+        halved = [img * Fraction(1, 2) for img in build_J(n=n).images]
+        assert build_J(p=doubled, n=n).images == halved, n
+
+
+def test_columns_of_the_wrong_length_are_rejected():
+    # a short column once gave a trailing 0 in mul_vector and an unrelated error in check_char2
+    n = 3
+    P = p_matrix(default_admissible(n))
+    for size in (2, 4):
+        theta = [ExtPoly.odd(i % n + 1, n) for i in range(size)]
+        with pytest.raises(ValueError, match=f"a column of {size} entries"):
+            P.mul_vector(theta)
+        with pytest.raises(ValueError, match=f"expected 3 column entries, one per variable, got {size}"):
+            check_char2(P, theta)
+    with pytest.raises(ValueError, match="a column of rank 2 against a matrix of rank 3"):
+        check_char2(P, [ExtPoly.odd(i, 2) for i in (1, 2)])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -210,9 +235,18 @@ def test_solved_images_match_closed_form(n):
         assert J.of_generator(j) == reference.oracle_J_image(j, n), j
 
 
-def test_invariant_dimensions_match():
-    rep = solomon_compare(2)
+@pytest.mark.parametrize("n, max_a", [(1, 8), (2, 8), (3, 6)])
+def test_molien_matches_the_dense_oracle(n, max_a):
+    want = [[reference.oracle_invariant_dimension(n, a, b) for b in range(n + 1)]
+            for a in range(max_a + 1)]
+    assert _invariant_dimensions(n, max_a) == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_invariant_dimensions_match(n):
+    rep = solomon_compare(n)
     assert rep.passed, str(rep)
+    assert len(rep.checks) == 7 * (n + 1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
