@@ -36,7 +36,7 @@ from .extpoly import (
 )
 from .report import SuiteReport
 from .schur import _lambda_monomials, default_invariant_gens, invariant_schur_basis
-from .weylb import act_gen, enumerate_group
+from .weylb import _MAX_GROUP_RANK, act_gen, enumerate_group
 
 __all__ = [
     "PolyMatrix",
@@ -341,6 +341,8 @@ def build_J(fgens=None, p=None, n=None):
         raise ValueError(f"n = {n} disagrees with the generators' rank {len(fgens)}")
     n = len(fgens)
     p = default_admissible(n) if p is None else _admissible_tuple(p)
+    if len(p) != n:
+        raise ValueError(f"the admissible tuple has rank {len(p)}, the generators rank {n}")
     if not validate_admissible(p).passed:
         raise ValueError(f"tuple ({', '.join(map(render, p))}) is not admissible")
     P = p_matrix(p).entries
@@ -484,6 +486,8 @@ def solomon_compare(n):
 
 
 def verify_solomon(n, trials=8, seed=0):
+    if n > _MAX_GROUP_RANK:
+        raise ValueError(f"the solomon suite sums over the group, capped at n = {_MAX_GROUP_RANK}")
     rep = SuiteReport(f"solomon module(n={n})")
 
     x1 = ExtPoly.x(1, n)

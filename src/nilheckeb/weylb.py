@@ -221,10 +221,13 @@ def longest_word(n):
     return tuple(word)
 
 
+_MAX_GROUP_RANK = 5  # the largest rank whose group is enumerated (3840 elements)
+
+
 def enumerate_group(n):
-    """All 2^n n! elements, sorted by window (n <= 5)."""
-    if n > 5:
-        raise ValueError("group enumeration is capped at n = 5")
+    """All 2^n n! elements, sorted by window (n <= _MAX_GROUP_RANK)."""
+    if n > _MAX_GROUP_RANK:
+        raise ValueError(f"group enumeration is capped at n = {_MAX_GROUP_RANK}")
     out = []
     for perm in itertools.permutations(range(1, n + 1)):
         for signs in itertools.product((1, -1), repeat=n):
@@ -291,7 +294,7 @@ def verify_weyl(n, trials=25, seed=0):
     rep = SuiteReport(f"weyl(n={n})")
     rng = random.Random(seed)
 
-    if n <= 5:
+    if n <= _MAX_GROUP_RANK:
         group = enumerate_group(n)
         rep.add("group order", len(group) == (2**n) * math.factorial(n), f"|W| = {len(group)}")
         rep.add(

@@ -1,6 +1,7 @@
 """The command-line surface: outputs, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -74,15 +75,20 @@ def test_validation_failure_is_exit_one(capsys):
         (["poincare", "--n", "0"], "nhb poincare: --n"),
         (["poincare", "--n", "-1"], "nhb poincare: --n"),
         (["verify", "--n", "2", "--trials", "0"], "nhb verify: --trials"),
-        (["verify", "--n", "5", "--suite", "schur"], "capped at n = 4"),
+        (["verify", "--n", "6", "--suite", "schur"], "nhb verify: the schur suite walks"),
+        (["verify", "--n", "6", "--suite", "solomon"], "nhb verify: the solomon suite sums"),
         (["verify", "--n", "2", "--trials", "-3"], "nhb verify: --trials"),
     ]:
+        start = time.perf_counter()
         code = cli.main(argv)
+        elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
         assert code == 1, argv
         assert captured.out == ""
         assert fragment in captured.err
+        assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+        assert elapsed < 5, argv  # before any work: the n = 6 suites would run for minutes
 
 
 def test_usage_errors_are_exit_sixty_four(capsys):

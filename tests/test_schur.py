@@ -8,6 +8,7 @@ import pytest
 import reference
 from nilheckeb import (
     decompose_schubert,
+    demazure,
     enumerate_group,
     format_poincare,
     from_word,
@@ -24,9 +25,10 @@ from nilheckeb import (
     staircase,
     verify_schur,
 )
-from nilheckeb import OMEGA, ExtPoly
+from nilheckeb import OMEGA, ExtPoly, schur
 from nilheckeb.linalg import rank, span_rank
 from nilheckeb.schur import exponents
+from nilheckeb.weylb import right_descents
 
 GOLDEN_N2 = [
     ((), (), "1"),
@@ -143,10 +145,28 @@ def test_rank_four_results_carry_int_coefficients():
     assert all(type(c) is int for f in polys for c in f.terms.values())
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_suite_green(n):
     rep = verify_schur(n, trials=10, seed=0)
     assert rep.passed, str(rep)
+
+
+def _one_ascent_more(w):
+    descents = right_descents(w)
+    return descents + [i for i in range(1, w.n + 1) if i not in descents][:1]
+
+
+@pytest.mark.parametrize("name,fake", [
+    ("staircase", lambda alpha, n: staircase(alpha, n) * 2),
+    ("demazure", lambda i, f: demazure(i, f) or ExtPoly.one(f.nvars)),
+    ("right_descents", _one_ascent_more),
+], ids=["doubled-top", "nonzero-at-ascents", "ascent-taken-for-descent"])
+def test_walk_flags_a_broken_step(monkeypatch, name, fake):
+    # the walk is linear, so only S_e = 1 tells twice the staircase apart; the
+    # other two are caught only by the ascent check and the revisit comparison
+    monkeypatch.setattr(schur, name, fake)
+    checks = {c.check: c.passed for c in verify_schur(3, trials=2, seed=0).checks}
+    assert checks["Schubert degrees and independence"] is False
 
 
 @pytest.mark.parametrize("degs", [(1,), (3,), (2, 4), (1, 1, 1), (6, 4, 2)])

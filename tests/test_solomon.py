@@ -82,6 +82,13 @@ def test_build_J_rejects_a_rank_other_than_the_generators():
     assert build_J(fgens=default_invariant_gens(3), n=3).images == build_J(n=3).images
 
 
+def test_build_J_rejects_a_tuple_of_another_rank():
+    with pytest.raises(ValueError, match="admissible tuple has rank 2, the generators rank 3"):
+        build_J(n=3, p=default_admissible(2))
+    with pytest.raises(ValueError, match="admissible tuple has rank 4, the generators rank 3"):
+        build_J(fgens=default_invariant_gens(3), p=default_admissible(4))
+
+
 def test_chain_on_default_tuple_gives_unit():
     n = 3
     p1, p2, p3 = default_admissible(n)
