@@ -7,6 +7,8 @@ increasing tuple of 1-based odd-generator indices.  A coefficient is an
 ``int`` when integral, else a ``Fraction``; the kernels only add, subtract
 and multiply, so they keep whatever type they are given.  Coefficients are
 kept nonzero; all functions return fresh dicts and never mutate their inputs.
+``demazure_terms`` also only adds and negates: it writes a divided
+difference term by term, with no division.
 """
 
 
@@ -163,3 +165,67 @@ def div_var_terms(a, i):
             q[i] -= 1
             quot[(tuple(q), m)] = c
     return quot, rem
+
+
+def demazure_terms(terms, i, n):
+    """The divided difference ∂_i of a w-family term dict (1-based ``i``).
+
+    Per term ``c * x^e * w^m``, for ``i < n`` with ``a = e_i``, ``b = e_{i+1}``:
+
+    * ``c * (x^e - x^(s_i e)) / (x_i - x_{i+1})``, the ``|a - b|`` monomials
+      ``x_i^(lo+t) x_{i+1}^(hi-1-t)`` (``lo, hi`` = min, max of ``a, b``),
+      with the sign of ``a - b``;
+    * the twist, when ``i`` is in ``m`` and ``i + 1`` is not:
+      ``s_i(w_i) = w_i + (x_i^2 - x_{i+1}^2) w_{i+1}`` leaves
+      ``-c * x^(s_i e) * (x_i + x_{i+1})`` on the mask with ``i`` moved to
+      ``i + 1``, which stays sorted, so no reorder sign arises.
+
+    For ``i = n`` it is ``(id - s_n) / (2 x_n)``: ``c * x^e / x_n`` when
+    ``e_n`` is odd, else nothing.
+    """
+    out = {}
+    if i == n:
+        s = n - 1
+        for (e, m), c in terms.items():
+            if e[s] & 1:
+                q = list(e)
+                q[s] -= 1
+                out[(tuple(q), m)] = c
+        return out
+    get = out.get
+    s, r, j = i - 1, i, i + 1
+    for (e, m), c in terms.items():
+        a, b = e[s], e[r]
+        q = list(e)
+        if a != b:
+            lo, hi, d = (b, a, c) if a > b else (a, b, -c)
+            for t in range(lo, hi):
+                q[s] = t
+                q[r] = lo + hi - 1 - t
+                key = (tuple(q), m)
+                v = get(key)
+                if v is None:
+                    out[key] = d
+                else:
+                    v = v + d
+                    if v:
+                        out[key] = v
+                    else:
+                        del out[key]
+        if i in m and j not in m:
+            shifted = tuple(j if x == i else x for x in m)
+            neg = -c
+            for p, p1 in ((b + 1, a), (b, a + 1)):
+                q[s] = p
+                q[r] = p1
+                key = (tuple(q), shifted)
+                v = get(key)
+                if v is None:
+                    out[key] = neg
+                else:
+                    v = v + neg
+                    if v:
+                        out[key] = v
+                    else:
+                        del out[key]
+    return out

@@ -332,27 +332,34 @@ def verify_schur(n, trials=10, seed=0):
     rep.add("invariant basis: invariance, count, independence",
             invariant and linalg.span_rank(list(basis.values())) == len(basis) == 2**n)
 
+    # The last check compares one S_w with the walk; draw w now and keep its S_w on the way.
+    target = rng.choice(enumerate_group(n))
+
     # Independence, by induction on length: each S_w is homogeneous of degree l(w), and
     # d_i for a descent i of u sends a relation among the S_w of length l with c_u != 0
     # to one of length l - 1 with c_u on S_(u s_i), ending at S_e = 1, which is nonzero.
-    schubs = {longest_element(n): staircase((), n)}
-    level, ok = list(schubs), True
-    while level:
-        below = []
-        for w in level:
-            ok = ok and degree(schubs[w], XDEG) == length(w)
+    # A descent lowers the length by one, so the walk holds two levels at a time, one
+    # per length from l(w0) = n^2 down to 0.
+    level, ok, reached, walked = {longest_element(n): staircase((), n)}, True, 1, None
+    for _ in range(n * n + 1):
+        below = {}
+        for w, sw in level.items():
+            if w == target:
+                walked = sw
+            ok = ok and degree(sw, XDEG) == length(w)
             descents = right_descents(w)
             for i in range(1, n + 1):
-                d, v = demazure(i, schubs[w]), compose(w, gen(i, n))
+                d, v = demazure(i, sw), compose(w, gen(i, n))
                 if i not in descents:
                     ok = ok and d.is_zero()
-                elif v in schubs:
-                    ok = ok and d == schubs[v]
+                elif v in below:
+                    ok = ok and d == below[v]
                 else:
-                    schubs[v] = d
-                    below.append(v)
-        level = below
-    ok = ok and len(schubs) == 2**n * math.factorial(n) and schubs[identity(n)] == ExtPoly.one(n)
+                    below[v] = d
+        reached += len(below)
+        last, level = level, below
+    ok = (ok and not level and reached == 2**n * math.factorial(n)
+          and last == {identity(n): ExtPoly.one(n)})
     rep.add("Schubert degrees and independence", ok)
 
     rep.add("Poincare enumeration equals product formula", poincare(n) == poincare_formula(n))
@@ -367,6 +374,6 @@ def verify_schur(n, trials=10, seed=0):
                    lambda: random_poly(n, OMEGA, max_xdeg=3, max_terms=3, rng=rng))
 
     rep.trials("Schubert polynomials equal the walk", 1,
-               lambda w: schubert(w, n) == schubs.get(w), lambda: rng.choice(enumerate_group(n)))
+               lambda w: schubert(w, n) == walked, lambda: target)
 
     return rep

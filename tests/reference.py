@@ -3,8 +3,10 @@
 Everything here is written from scratch on sympy and plain tuples: a
 symbolic divided difference for even polynomials, the closed form of
 the solved images J(w_j), and a breadth-first model of the
-signed-permutation group.  There are two exceptions.  The
-brute-force operator product ``oracle_nh_mul`` borrows the
+signed-permutation group.  There are three exceptions.  The
+two-step divided difference ``oracle_demazure`` borrows ``act_gen`` and
+``exact_div_linear`` but not the term-by-term kernel, which it checks.
+The brute-force operator product ``oracle_nh_mul`` borrows the
 package's single-letter operators and polynomial arithmetic but does its
 own word expansion and group bookkeeping.  The dense invariant count
 ``oracle_invariant_dimension`` borrows ``act_gen`` and
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 import sympy
 
-from nilheckeb import DX, ExtPoly, NHElement, OMEGA, act_gen, demazure
+from nilheckeb import DX, ExtPoly, NHElement, OMEGA, act_gen, demazure, exact_div_linear
 from nilheckeb.linalg import span_rank
 
 
@@ -58,6 +60,26 @@ def sy_demazure(i, expr, n):
         flipped = expr.subs(xs[n - 1], -xs[n - 1])
         quot = sympy.cancel((expr - flipped) / (2 * xs[n - 1]))
     return sympy.expand(quot)
+
+
+def oracle_demazure(i, f):
+    """(f - s_i f) divided exactly by x_i - x_(i+1), or by x_n and halved for i = n.
+
+    Raises DivisionError if the division leaves a remainder.  Halving
+    keeps an even ``int`` an ``int``.
+    """
+    n = f.nvars
+    diff = f - act_gen(i, f)
+    if i < n:
+        return exact_div_linear(diff, i, i + 1)
+    quot = exact_div_linear(diff, n)
+    return ExtPoly(n, f.family, {k: _half(c) for k, c in quot.terms.items()})
+
+
+def _half(c):
+    if type(c) is int:
+        return Fraction(c, 2) if c & 1 else c >> 1
+    return c / 2
 
 
 def sy_elementary(k, exprs):

@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from nilheckeb import (
+    DX,
     ExtPoly,
     OMEGA,
     act_gen,
@@ -53,6 +56,41 @@ def test_sign_operator_halves_odd_numerators_exactly(n):
                 reference.sy_demazure(i, reference.to_sympy(f), n), n
             )
             assert demazure(i, f) == want
+
+
+# a mask's part in {i, i + 1}, as offsets from i; the twist needs {0}
+ADJACENT_PARTS = ({0}, {0, 1}, set(), {1})
+
+
+@st.composite
+def operator_inputs(draw):
+    n = draw(st.integers(1, 5))
+    i = draw(st.integers(1, n))
+    coeff = st.one_of(st.integers(-6, 6),
+                      st.fractions(min_value=-6, max_value=6, max_denominator=4)).filter(bool)
+    term = st.tuples(coeff, st.tuples(*[st.integers(0, 9)] * n),
+                     st.sets(st.integers(1, n)), st.sampled_from(ADJACENT_PARTS))
+    entries = []
+    for c, e, m, part in draw(st.lists(term, min_size=1, max_size=8)):
+        if i < n:
+            m = (m - {i, i + 1}) | {i + d for d in part}
+        entries.append((c, e, sorted(m)))
+    return i, ExtPoly.from_terms(n, entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operator_inputs())
+def test_matches_the_two_step_definition(case):
+    i, f = case
+    got, want = demazure(i, f), reference.oracle_demazure(i, f)
+    assert got == want
+    assert all(type(got.terms[k]) is int for k, c in want.terms.items() if type(c) is int)
+
+
+@pytest.mark.parametrize("f", [ExtPoly.x(1, 2, DX), ExtPoly.odd(1, 2, DX)], ids=["x1", "dx1"])
+def test_rejects_the_dx_family(f):
+    with pytest.raises(ValueError, match="divided differences act on the w family"):
+        demazure(1, f)
 
 
 def test_hand_values():

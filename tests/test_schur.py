@@ -156,15 +156,36 @@ def _one_ascent_more(w):
     return descents + [i for i in range(1, w.n + 1) if i not in descents][:1]
 
 
-@pytest.mark.parametrize("name,fake", [
-    ("staircase", lambda alpha, n: staircase(alpha, n) * 2),
-    ("demazure", lambda i, f: demazure(i, f) or ExtPoly.one(f.nvars)),
-    ("right_descents", _one_ascent_more),
-], ids=["doubled-top", "nonzero-at-ascents", "ascent-taken-for-descent"])
-def test_walk_flags_a_broken_step(monkeypatch, name, fake):
+def _errs_on_recomputation():
+    # the walk keeps the first value it reaches for each element, so doubling
+    # every nonzero result seen before changes nothing but the revisits
+    seen = set()
+
+    def fake(i, f):
+        d = demazure(i, f)
+        key = render(d)
+        if d and key in seen:
+            return d * 2
+        seen.add(key)
+        return d
+
+    return fake
+
+
+@pytest.mark.parametrize("name,make_fake", [
+    ("staircase", lambda: lambda alpha, n: staircase(alpha, n) * 2),
+    ("staircase", lambda: lambda alpha, n: staircase(alpha, n) + 1),
+    ("demazure", lambda: lambda i, f: demazure(i, f) or ExtPoly.one(f.nvars)),
+    ("demazure", _errs_on_recomputation),
+    ("right_descents", lambda: _one_ascent_more),
+], ids=["doubled-top", "constant-on-top", "nonzero-at-ascents", "wrong-on-revisits",
+        "ascent-taken-for-descent"])
+def test_walk_flags_a_broken_step(monkeypatch, name, make_fake):
     # the walk is linear, so only S_e = 1 tells twice the staircase apart; the
-    # other two are caught only by the ascent check and the revisit comparison
-    monkeypatch.setattr(schur, name, fake)
+    # constant is killed at once, so only the degree check sees it; the next two
+    # are caught only by the ascent check and the revisit comparison; a wrong
+    # descent sends the walk up a level, so several checks see that one
+    monkeypatch.setattr(schur, name, make_fake())
     checks = {c.check: c.passed for c in verify_schur(3, trials=2, seed=0).checks}
     assert checks["Schubert degrees and independence"] is False
 
