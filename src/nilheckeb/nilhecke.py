@@ -11,9 +11,10 @@ of the twisted Leibniz rule,
 
 and pure D-words compose by the nil law, D_i * D_t = D_{s_i t} when
 l(s_i t) = l(t) + 1 and zero otherwise.  ``nh_mul`` pushes the letters
-of a reduced word of u through ``g * D_v`` one at a time, keeping the
-pieces keyed by the group element of their tail, and prunes a tail at
-the first letter that fails to lengthen it.
+of a reduced word of u (``weylb.descent_walk``, largest descent first)
+through ``g * D_v`` one at a time, keeping the pieces keyed by the group
+element of their tail, and prunes a tail at the first letter that fails
+to lengthen it.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .schur import schubert
 from .weylb import (
     SignedPerm,
     act_gen,
+    descent_walk,
     enumerate_group,
     from_word,
     identity,
@@ -169,11 +171,12 @@ class NHElement:
         return render_nh(self)
 
 
-def _push_through(word, pieces):
-    """Rewrite D_word * sum(poly * D_t) as a sum of poly * D_t.
+def _push_through(letters, pieces):
+    """Rewrite D_u * sum(poly * D_t) as a sum of poly * D_t.
 
-    ``word`` is reduced and ``pieces`` maps the window of t to its poly.
-    Letters act right to left by the twisted Leibniz rule and the nil law,
+    ``letters`` is a reduced word of u, rightmost letter first, and
+    ``pieces`` maps the window of t to its poly.  Each letter acts by the
+    twisted Leibniz rule and the nil law,
 
         D_i * poly * D_t  =  D_i(poly) * D_t  +  s_i(poly) * D_i * D_t,
         D_i * D_t  =  D_{s_i t} if l(s_i t) = l(t) + 1, else 0,
@@ -181,7 +184,7 @@ def _push_through(word, pieces):
     so a tail is dropped at the first letter that fails to lengthen it,
     and s_i(poly) is computed only for tails that survive.
     """
-    for i in reversed(word):
+    for i in letters:
         new = {}
         for t, poly in pieces.items():
             d = demazure(i, poly)
@@ -204,8 +207,7 @@ def nh_mul(a, b):
     out = {}
     parts_b = b.parts()
     for wa, mono in a.parts().items():
-        word_u = some_reduced_word(SignedPerm(wa))
-        for t, poly in _push_through(word_u, parts_b).items():
+        for t, poly in _push_through(descent_walk(wa), parts_b).items():
             for (e, m), c in (mono * poly).terms.items():
                 _k.accumulate(out, (e, m, t), c)
     return NHElement(n, out)

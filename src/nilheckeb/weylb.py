@@ -34,6 +34,7 @@ __all__ = [
     "inverse",
     "length",
     "left_ascent",
+    "descent_walk",
     "some_reduced_word",
     "all_reduced_words",
     "is_reduced",
@@ -143,16 +144,42 @@ def length(w):
     return count
 
 
+def _descends(a, b):
+    """Whether the adjacent window entries a, b make a right descent."""
+    return (a < 0 and b > 0) or (a * b > 0 and a > b)
+
+
 def right_descents(w):
     win = w.window
-    out = []
-    for i in range(1, w.n):
-        a, b = win[i - 1], win[i]
-        if (a < 0 and b > 0) or (a * b > 0 and a > b):
-            out.append(i)
+    out = [i for i in range(1, w.n) if _descends(win[i - 1], win[i])]
     if win[w.n - 1] < 0:
         out.append(w.n)
     return out
+
+
+def descent_walk(window):
+    """The letters of a reduced word of the window's element, rightmost first.
+
+    Each step strips the largest right descent: i = n while the last entry
+    is negative, else the largest i < n whose entries descend.  The letters
+    come in the order operators along the word are applied, so
+    ``from_word`` of them reversed gives the element back.  A copy of the
+    window is stepped in place as the letters are drawn.
+    """
+    win = list(window)
+    n = len(win)
+    while True:
+        if win[-1] < 0:
+            win[-1] = -win[-1]
+            yield n
+            continue
+        for i in range(n - 1, 0, -1):
+            if _descends(win[i - 1], win[i]):
+                win[i - 1], win[i] = win[i], win[i - 1]
+                yield i
+                break
+        else:
+            return
 
 
 def left_ascent(i, window):

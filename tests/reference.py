@@ -3,14 +3,18 @@
 Everything here is written from scratch on sympy and plain tuples: a
 symbolic divided difference for even polynomials, the closed form of
 the solved images J(w_j), and a breadth-first model of the
-signed-permutation group.  There are three exceptions.  The
+signed-permutation group.  There are four exceptions.  The
 two-step divided difference ``oracle_demazure`` borrows ``act_gen`` and
 ``exact_div_linear`` but not the term-by-term kernel, which it checks.
 The brute-force operator product ``oracle_nh_mul`` borrows the
 package's single-letter operators and polynomial arithmetic but does its
 own word expansion and group bookkeeping.  The dense invariant count
 ``oracle_invariant_dimension`` borrows ``act_gen`` and
-``linalg.span_rank`` but not Molien's formula, which it checks.
+``linalg.span_rank`` but not Molien's formula, which it checks.  The
+word oracles ``oracle_demazure_w`` and ``oracle_nh_mul_word`` run the
+package's own operators along ``some_reduced_word`` (smallest descent
+first), so they check that the largest-descent-first walk changes no
+result.
 """
 
 import itertools
@@ -18,8 +22,11 @@ from fractions import Fraction
 
 import sympy
 
-from nilheckeb import DX, ExtPoly, NHElement, OMEGA, act_gen, demazure, exact_div_linear
+from nilheckeb import (DX, ExtPoly, NHElement, OMEGA, SignedPerm, act_gen, demazure,
+                       demazure_word, exact_div_linear, some_reduced_word)
+from nilheckeb._kernels_py import accumulate
 from nilheckeb.linalg import span_rank
+from nilheckeb.nilhecke import _push_through
 
 
 def sy_vars(n):
@@ -80,6 +87,23 @@ def _half(c):
     if type(c) is int:
         return Fraction(c, 2) if c & 1 else c >> 1
     return c / 2
+
+
+def oracle_demazure_w(w, f):
+    """d_w along ``some_reduced_word(w)``, rightmost letter first."""
+    return demazure_word(some_reduced_word(w), f)
+
+
+def oracle_nh_mul_word(a, b):
+    """The product a*b, pushing each D_u through along ``some_reduced_word(u)``."""
+    out = {}
+    parts_b = b.parts()
+    for wa, mono in a.parts().items():
+        word = some_reduced_word(SignedPerm(wa))
+        for t, poly in _push_through(reversed(word), parts_b).items():
+            for (e, m), c in (mono * poly).terms.items():
+                accumulate(out, (e, m, t), c)
+    return NHElement(a.nvars, out)
 
 
 def sy_elementary(k, exprs):

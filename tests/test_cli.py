@@ -1,10 +1,14 @@
 """The command-line surface: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import nilheckeb
 from nilheckeb import cli, poincare_formula
 from nilheckeb.report import SuiteReport
 
@@ -89,6 +93,19 @@ def test_validation_failure_is_exit_one(capsys):
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
         assert elapsed < 5, argv  # before any work: the n = 6 suites would run for minutes
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "--n", "6", "--format", "json"],
+    ["schur", "--n", "7", "--alpha", "0", "--beta", "1"],
+], ids=["basis-6", "schur-7"])
+def test_rank_six_and_seven_commands_finish(argv):
+    # a fresh process, so the timeout bounds a command that would run for minutes
+    src = os.path.dirname(os.path.dirname(nilheckeb.__file__))
+    proc = subprocess.run([sys.executable, "-m", "nilheckeb.cli", *argv], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
 
 
 def test_usage_errors_are_exit_sixty_four(capsys):

@@ -15,6 +15,7 @@ from nilheckeb import (
     demazure_w,
     enumerate_group,
     from_word,
+    length,
     longest_element,
     nh_act,
     nh_mul,
@@ -204,6 +205,25 @@ def test_longest_element_matches_brute_force_oracle_at_rank_four(g):
     a = NHElement.dee(longest_element(n))
     b = parse_nh(g, n)
     assert nh_mul(a, b) == reference.oracle_nh_mul(a, b)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_product_matches_the_smallest_descent_word(n):
+    rng = random.Random(20 + n)
+    group = enumerate_group(n)
+    for _ in range(40):
+        a, b = _random_nh(n, rng, group), _random_nh(n, rng, group)
+        assert render_nh(nh_mul(a, b)) == render_nh(reference.oracle_nh_mul_word(a, b))
+
+
+def test_long_operator_times_polynomial_matches_the_smallest_descent_word():
+    n = 4
+    rng = random.Random(24)
+    long = [w for w in enumerate_group(n) if length(w) >= 11]
+    for _ in range(6):
+        a = NHElement.dee(rng.choice(long))
+        b = NHElement.from_poly(random_poly(n, OMEGA, max_xdeg=3, max_terms=3, rng=rng))
+        assert render_nh(nh_mul(a, b)) == render_nh(reference.oracle_nh_mul_word(a, b))
 
 
 GROUPS = {n: enumerate_group(n) for n in (2, 3)}

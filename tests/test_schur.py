@@ -7,11 +7,13 @@ import pytest
 
 import reference
 from nilheckeb import (
+    compose,
     decompose_schubert,
     demazure,
     enumerate_group,
     format_poincare,
     from_word,
+    gen,
     invariant_schur_basis,
     is_invariant,
     length,
@@ -172,20 +174,43 @@ def _errs_on_recomputation():
     return fake
 
 
-@pytest.mark.parametrize("name,make_fake", [
-    ("staircase", lambda: lambda alpha, n: staircase(alpha, n) * 2),
-    ("staircase", lambda: lambda alpha, n: staircase(alpha, n) + 1),
-    ("demazure", lambda: lambda i, f: demazure(i, f) or ExtPoly.one(f.nvars)),
-    ("demazure", _errs_on_recomputation),
-    ("right_descents", lambda: _one_ascent_more),
+def _misses(v, descent_at_identity=False):
+    # the edges into v read as ascents and d_i on them as zero, so the walk
+    # never reaches v and every other check holds; a descent at the identity
+    # adds one element below the last level, which balances the count again
+    n = v.n
+    sv = schubert(v, n)
+
+    def descents(w):
+        if descent_at_identity and w.is_identity():
+            return [1]
+        return [i for i in right_descents(w) if compose(w, gen(i, n)) != v]
+
+    def fake(i, f):
+        d = demazure(i, f)
+        return ExtPoly.zero(f.nvars) if d == sv else d
+
+    return {"right_descents": descents, "demazure": fake}
+
+
+@pytest.mark.parametrize("make_fakes", [
+    lambda: {"staircase": lambda alpha, n: staircase(alpha, n) * 2},
+    lambda: {"staircase": lambda alpha, n: staircase(alpha, n) + 1},
+    lambda: {"demazure": lambda i, f: demazure(i, f) or ExtPoly.one(f.nvars)},
+    lambda: {"demazure": _errs_on_recomputation()},
+    lambda: {"right_descents": _one_ascent_more},
+    lambda: _misses(gen(1, 3)),
+    lambda: _misses(gen(1, 3), descent_at_identity=True),
 ], ids=["doubled-top", "constant-on-top", "nonzero-at-ascents", "wrong-on-revisits",
-        "ascent-taken-for-descent"])
-def test_walk_flags_a_broken_step(monkeypatch, name, make_fake):
+        "ascent-taken-for-descent", "misses-an-element", "descends-from-the-identity"])
+def test_walk_flags_a_broken_step(monkeypatch, make_fakes):
     # the walk is linear, so only S_e = 1 tells twice the staircase apart; the
     # constant is killed at once, so only the degree check sees it; the next two
     # are caught only by the ascent check and the revisit comparison; a wrong
-    # descent sends the walk up a level, so several checks see that one
-    monkeypatch.setattr(schur, name, make_fake())
+    # descent sends the walk up a level, so several checks see that one; the
+    # last two are caught only by the reached count and by the empty last level
+    for name, fake in make_fakes().items():
+        monkeypatch.setattr(schur, name, fake)
     checks = {c.check: c.passed for c in verify_schur(3, trials=2, seed=0).checks}
     assert checks["Schubert degrees and independence"] is False
 

@@ -14,6 +14,7 @@ from nilheckeb import (
     act_word,
     all_reduced_words,
     compose,
+    descent_walk,
     enumerate_group,
     from_word,
     gen,
@@ -69,6 +70,20 @@ def test_reduced_words():
     assert not is_reduced((1, 1), n)
     assert some_reduced_word(identity(n)) == ()
     assert is_reduced(some_reduced_word(w0), n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_descent_walk_spells_a_reduced_word(n):
+    for w in enumerate_group(n):
+        letters = list(descent_walk(w.window))
+        assert len(letters) == length(w)
+        assert from_word(reversed(letters), n) == w
+
+
+def test_descent_walk_strips_the_largest_descent_first():
+    assert list(descent_walk(longest_element(3).window)) == [3, 2, 3, 2, 1, 2, 3, 2, 1]
+    assert list(descent_walk((2, 3, 1))) == [2, 1]
+    assert list(descent_walk(identity(4).window)) == []
 
 
 def test_action_on_even_variables():
