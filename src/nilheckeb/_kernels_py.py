@@ -6,10 +6,20 @@ integer exponents (one slot per even variable) and ``omask`` is a strictly
 increasing tuple of 1-based odd-generator indices.  A coefficient is an
 ``int`` when integral, else a ``Fraction``; the kernels only add, subtract
 and multiply, so they keep whatever type they are given.  Coefficients are
-kept nonzero; all functions return fresh dicts and never mutate their inputs.
-``demazure_terms`` also only adds and negates: it writes a divided
-difference term by term, with no division.
+kept nonzero, and no function mutates its inputs.  Every function returns
+a fresh dict, except that ``demazure_terms`` adds into the dict ``out`` when
+it is given one; ``accumulate`` adds one term in place.  ``demazure_terms``
+also only adds and negates: it writes a divided difference term by term,
+with no division.
+
+Every kernel is linear over the rationals, so a computation can run on
+``int`` coefficients alone: ``clear_denominators`` scales a dict by the lcm
+of its denominators, and ``divide_terms`` divides by it once at the end,
+giving an ``int`` wherever the quotient is integral.
 """
+
+from fractions import Fraction
+from math import lcm
 
 
 def odd_merge(ma, mb):
@@ -81,6 +91,32 @@ def scale_terms(a, c):
     if not c:
         return {}
     return {k: v * c for k, v in a.items()}
+
+
+def clear_denominators(terms):
+    """``(den, int_terms)``: ``den`` is the lcm of the denominators and
+    ``int_terms`` is ``den * terms`` with every coefficient an ``int``.
+
+    An integral ``Fraction`` such as ``Fraction(2, 1)`` adds nothing to
+    ``den`` and is read as an ``int``.
+    """
+    den = 1
+    for c in terms.values():
+        if type(c) is not int:
+            den = lcm(den, c.denominator)
+    return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+
+
+def divide_terms(terms, den):
+    """``terms / den`` for ``int`` coefficients: an ``int`` where ``den``
+    divides, else a ``Fraction``."""
+    if den == 1:
+        return dict(terms)
+    out = {}
+    for k, c in terms.items():
+        q, r = divmod(c, den)
+        out[k] = Fraction(c, den) if r else q
+    return out
 
 
 def mul_terms(a, b):
@@ -167,8 +203,11 @@ def div_var_terms(a, i):
     return quot, rem
 
 
-def demazure_terms(terms, i, n):
+def demazure_terms(terms, i, n, out=None):
     """The divided difference ∂_i of a w-family term dict (1-based ``i``).
+
+    The result is added into ``out`` when a dict is given, and ``out`` is
+    returned; otherwise into a fresh dict.
 
     Per term ``c * x^e * w^m``, for ``i < n`` with ``a = e_i``, ``b = e_{i+1}``:
 
@@ -183,15 +222,16 @@ def demazure_terms(terms, i, n):
     For ``i = n`` it is ``(id - s_n) / (2 x_n)``: ``c * x^e / x_n`` when
     ``e_n`` is odd, else nothing.
     """
-    out = {}
     if i == n:
         s = n - 1
-        for (e, m), c in terms.items():
-            if e[s] & 1:
-                q = list(e)
-                q[s] -= 1
-                out[(tuple(q), m)] = c
+        quot = {(e[:s] + (e[s] - 1,), m): c for (e, m), c in terms.items() if e[s] & 1}
+        if out is None:
+            return quot
+        for key, c in quot.items():
+            accumulate(out, key, c)
         return out
+    if out is None:
+        out = {}
     get = out.get
     s, r, j = i - 1, i, i + 1
     for (e, m), c in terms.items():

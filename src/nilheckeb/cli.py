@@ -28,6 +28,9 @@ EXIT_INVALID = 1
 EXIT_SUITE_FAILED = 2
 EXIT_USAGE = 64
 
+# 2^n basis polynomials: n = 7 takes about a second, n = 8 about 20 s and 500 MB
+_MAX_BASIS_RANK = 7
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -61,7 +64,7 @@ def build_parser():
     common(p)
     p.add_argument("--word", default="", help="generator word for the element")
 
-    p = sub.add_parser("basis", help="invariant Schur basis, all odd layers")
+    p = sub.add_parser("basis", help=f"invariant Schur basis, all odd layers (n <= {_MAX_BASIS_RANK})")
     common(p)
 
     p = sub.add_parser("poincare", help="length generating function")
@@ -129,6 +132,8 @@ def _cmd_schubert(ns):
 
 
 def _cmd_basis(ns):
+    if ns.n > _MAX_BASIS_RANK:
+        raise ValueError(f"the invariant basis (2^n polynomials) is capped at n = {_MAX_BASIS_RANK}")
     layers = []
     for k in range(ns.n + 1):
         layer = schur.invariant_schur_basis(ns.n, k)

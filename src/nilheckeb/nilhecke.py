@@ -14,7 +14,10 @@ l(s_i t) = l(t) + 1 and zero otherwise.  ``nh_mul`` pushes the letters
 of a reduced word of u (``weylb.descent_walk``, largest descent first)
 through ``g * D_v`` one at a time, keeping the pieces keyed by the group
 element of their tail, and prunes a tail at the first letter that fails
-to lengthen it.
+to lengthen it.  Both rules are linear over the rationals, so ``nh_mul``
+clears each operand of denominators once, works on ``int`` term dicts, and
+divides once at the end: it returns ``int``-first coefficients, also from
+operands that hold integral ``Fraction``s such as ``Fraction(2, 1)``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import re
 from fractions import Fraction
 
 from . import _kernels_py as _k
-from .demazure import demazure, demazure_w
+from .demazure import demazure_w
 from .extpoly import (OMEGA, ExtPoly, join_terms, monomial_factors, normalize_coeff,
                       parse_term, random_poly, split_terms)
 from .report import SuiteReport
@@ -111,10 +114,7 @@ class NHElement:
 
     def parts(self):
         """The element as {window of w: ExtPoly coefficient of D_w}."""
-        parts = {}
-        for (e, m, win), c in self.terms.items():
-            parts.setdefault(win, {})[(e, m)] = c
-        return {win: ExtPoly(self.nvars, OMEGA, t) for win, t in parts.items()}
+        return {win: ExtPoly(self.nvars, OMEGA, t) for win, t in _split(self.terms).items()}
 
     def _check(self, other):
         if self.nvars != other.nvars:
@@ -171,46 +171,70 @@ class NHElement:
         return render_nh(self)
 
 
-def _push_through(letters, pieces):
+def _split(terms):
+    """The ``(xexp, omask, window)`` dict as {window: term dict of its poly}."""
+    parts = {}
+    for (e, m, win), c in terms.items():
+        parts.setdefault(win, {})[(e, m)] = c
+    return parts
+
+
+def _push_through(letters, pieces, n):
     """Rewrite D_u * sum(poly * D_t) as a sum of poly * D_t.
 
     ``letters`` is a reduced word of u, rightmost letter first, and
-    ``pieces`` maps the window of t to its poly.  Each letter acts by the
-    twisted Leibniz rule and the nil law,
+    ``pieces`` maps the window of t to the term dict of its poly; they are
+    not mutated.  Each letter acts by the twisted Leibniz rule and the nil
+    law,
 
         D_i * poly * D_t  =  D_i(poly) * D_t  +  s_i(poly) * D_i * D_t,
         D_i * D_t  =  D_{s_i t} if l(s_i t) = l(t) + 1, else 0,
 
     so a tail is dropped at the first letter that fails to lengthen it,
-    and s_i(poly) is computed only for tails that survive.
+    and s_i(poly) is computed only for tails that survive.  D_i(poly) is
+    written by ``_kernels_py.demazure_terms`` straight into the next
+    level's dict for t, with no intermediate polynomial; s_i(poly) comes
+    from ``weylb.act_gen``, the one implementation of s_i.  A tail whose
+    poly cancels to zero is dropped.  Both rules only add and negate, so
+    the ``int`` pieces that ``nh_mul`` passes in, cleared of denominators,
+    stay ``int``; rational pieces work the same.
     """
     for i in letters:
         new = {}
-        for t, poly in pieces.items():
-            d = demazure(i, poly)
-            if d:
-                prev = new.get(t)
-                new[t] = d if prev is None else prev + d
+        for t, terms in pieces.items():
+            _k.demazure_terms(terms, i, n, new.setdefault(t, {}))
             st = left_ascent(i, t)
             if st is not None:
+                s = act_gen(i, ExtPoly(n, OMEGA, terms)).terms
                 prev = new.get(st)
-                s = act_gen(i, poly)
-                new[st] = s if prev is None else prev + s
-        pieces = new
+                new[st] = s if prev is None else _k.add_terms(prev, s)
+        pieces = {t: terms for t, terms in new.items() if terms}
     return pieces
 
 
 def nh_mul(a, b):
-    """Product in PBW normal form."""
+    """Product in PBW normal form.
+
+    Each operand is cleared of denominators once
+    (``_kernels_py.clear_denominators``), so the push-through, with ∂_i
+    written in place and s_i from ``act_gen``, and the products of the
+    pieces run on ``int`` coefficients.  The result is divided once by the
+    two denominators: a coefficient is an ``int`` when integral, also when
+    an operand held integral ``Fraction``s.
+    """
     a._check(b)
     n = a.nvars
-    out = {}
-    parts_b = b.parts()
-    for wa, mono in a.parts().items():
-        for t, poly in _push_through(descent_walk(wa), parts_b).items():
-            for (e, m), c in (mono * poly).terms.items():
-                _k.accumulate(out, (e, m, t), c)
-    return NHElement(n, out)
+    da, ta = _k.clear_denominators(a.terms)
+    db, tb = _k.clear_denominators(b.terms)
+    parts_b = _split(tb)
+    by_tail = {}
+    for wa, mono in _split(ta).items():
+        for t, terms in _push_through(descent_walk(wa), parts_b, n).items():
+            prod = _k.mul_terms(mono, terms)
+            prev = by_tail.get(t)
+            by_tail[t] = prod if prev is None else _k.add_terms(prev, prod)
+    out = {(e, m, t): c for t, terms in by_tail.items() for (e, m), c in terms.items()}
+    return NHElement(n, _k.divide_terms(out, da * db))
 
 
 def nh_act(a, f):

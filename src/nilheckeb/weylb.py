@@ -188,20 +188,20 @@ def left_ascent(i, window):
     s_i t is longer exactly when t^-1 sends the simple root of s_i to a
     positive root: for i < n, when the first of the entries +-i, +-(i+1)
     in the window is +i or -(i+1); for i = n, when +n is in the window.
+    s_i t swaps the values i and i + 1, keeping their signs, or negates n.
     """
     n = len(window)
     if i == n:
         return tuple(-n if v == n else v for v in window) if n in window else None
     j = i + 1
-    first = None
+    p = window.index(i) if i in window else window.index(-i)
+    q = window.index(j) if j in window else window.index(-j)
+    if window[min(p, q)] not in (i, -j):
+        return None
     out = list(window)
-    for p, v in enumerate(window):
-        a = abs(v)
-        if a == i or a == j:
-            if first is None:
-                first = v
-            out[p] = i + j - a if v > 0 else a - i - j
-    return tuple(out) if first == i or first == -j else None
+    out[p] = j if window[p] > 0 else -j
+    out[q] = i if window[q] > 0 else -i
+    return tuple(out)
 
 
 def some_reduced_word(w):

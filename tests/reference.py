@@ -14,7 +14,8 @@ own word expansion and group bookkeeping.  The dense invariant count
 word oracles ``oracle_demazure_w`` and ``oracle_nh_mul_word`` run the
 package's own operators along ``some_reduced_word`` (smallest descent
 first), so they check that the largest-descent-first walk changes no
-result.
+result; ``oracle_nh_mul_word`` also keeps its pieces rational, where
+``nh_mul`` clears denominators first, so it checks the clearing too.
 """
 
 import itertools
@@ -95,15 +96,21 @@ def oracle_demazure_w(w, f):
 
 
 def oracle_nh_mul_word(a, b):
-    """The product a*b, pushing each D_u through along ``some_reduced_word(u)``."""
+    """The product a*b, pushing each D_u through along ``some_reduced_word(u)``.
+
+    The pieces keep their rational coefficients: nothing is cleared of
+    denominators, so the oracle also checks that ``nh_mul``'s clearing and
+    final division change no result.
+    """
+    n = a.nvars
     out = {}
-    parts_b = b.parts()
+    parts_b = {t: poly.terms for t, poly in b.parts().items()}
     for wa, mono in a.parts().items():
         word = some_reduced_word(SignedPerm(wa))
-        for t, poly in _push_through(reversed(word), parts_b).items():
-            for (e, m), c in (mono * poly).terms.items():
+        for t, terms in _push_through(reversed(word), parts_b, n).items():
+            for (e, m), c in (mono * ExtPoly(n, OMEGA, terms)).terms.items():
                 accumulate(out, (e, m, t), c)
-    return NHElement(a.nvars, out)
+    return NHElement(n, out)
 
 
 def sy_elementary(k, exprs):

@@ -108,6 +108,17 @@ def test_rank_six_and_seven_commands_finish(argv):
     assert proc.stdout
 
 
+def test_basis_is_capped_at_rank_seven():
+    # a fresh process, so the timeout bounds an uncapped run (about 20 s and 500 MB at n = 8)
+    src = os.path.dirname(os.path.dirname(nilheckeb.__file__))
+    proc = subprocess.run([sys.executable, "-m", "nilheckeb.cli", "basis", "--n", "8"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=10)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "nhb basis: the invariant basis (2^n polynomials) is capped at n = 7\n"
+
+
 def test_usage_errors_are_exit_sixty_four(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["bogus"])

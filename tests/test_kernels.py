@@ -1,9 +1,15 @@
-"""Laws of the term kernels: odd signs and exact division."""
+"""Laws of the term kernels: odd signs, exact division, adding in place
+and clearing denominators."""
 
 import random
 from fractions import Fraction
+from math import lcm
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilheckeb import _kernels_py as kern
+from nilheckeb import normalize_coeff
 
 
 def random_terms(rng, n, nterms, with_mask=True):
@@ -56,3 +62,47 @@ def test_var_division_reconstructs():
         back = kern.add_terms(kern.mul_terms(quot, var), rem)
         assert back == a
         assert all(e[i] == 0 for (e, _) in rem)
+
+
+COEFFS = st.one_of(st.integers(-5, 5), st.fractions(-3, 3, max_denominator=6)).filter(bool)
+
+
+def term_dicts(n):
+    key = st.tuples(st.tuples(*[st.integers(0, 4)] * n),
+                    st.sets(st.integers(1, n)).map(lambda m: tuple(sorted(m))))
+    return st.dictionaries(key, COEFFS, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.booleans())
+def test_demazure_terms_adds_into_the_dict_it_is_given(data, sign_operator):
+    n = data.draw(st.integers(1 if sign_operator else 2, 4))
+    i = n if sign_operator else data.draw(st.integers(1, n - 1))
+    terms = data.draw(term_dicts(n))
+    fresh = kern.demazure_terms(terms, i, n)
+    # prior shares some keys with the result, and cancels some of them
+    prior = data.draw(term_dicts(n))
+    for k, c in fresh.items():
+        how = data.draw(st.sampled_from(("absent", "cancel", "share")))
+        if how == "cancel":
+            prior[k] = -c
+        elif how == "share":
+            prior[k] = data.draw(COEFFS)
+    snapshot = dict(terms)
+    out = dict(prior)
+    assert kern.demazure_terms(terms, i, n, out) is out
+    assert out == kern.add_terms(prior, fresh)
+    assert terms == snapshot
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(term_dicts))
+def test_clearing_denominators_round_trips(terms):
+    den, scaled = kern.clear_denominators(terms)
+    assert den == lcm(*(Fraction(c).denominator for c in terms.values()))
+    assert all(type(c) is int for c in scaled.values())
+    assert scaled == {k: c * den for k, c in terms.items()}
+    back = kern.divide_terms(scaled, den)
+    want = {k: normalize_coeff(c) for k, c in terms.items()}
+    assert back == want
+    assert all(type(back[k]) is type(c) for k, c in want.items())

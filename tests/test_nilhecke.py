@@ -1,5 +1,8 @@
 """Operator algebra: normal form, rewriting, and the polynomial action."""
 
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -12,6 +15,7 @@ from nilheckeb import (
     NHElement,
     OMEGA,
     SignedPerm,
+    cli,
     demazure_w,
     enumerate_group,
     from_word,
@@ -19,6 +23,7 @@ from nilheckeb import (
     longest_element,
     nh_act,
     nh_mul,
+    normalize_coeff,
     parse_nh,
     pbw_well_formed,
     random_poly,
@@ -207,6 +212,35 @@ def test_longest_element_matches_brute_force_oracle_at_rank_four(g):
     assert nh_mul(a, b) == reference.oracle_nh_mul(a, b)
 
 
+# one case per shape of g in the benchmark's rank-4 products: lengths of u,
+# x-degree of g, odd mask of g
+@pytest.mark.parametrize("lengths,xdeg,mask", [
+    (range(11, 17), 1, ()),
+    (range(13, 17), 1, (3,)),
+    (range(14, 17), 0, (2,)),
+    ((16,), 0, (1,)),
+], ids=["x", "xw3", "w2", "w1"])
+def test_rational_long_operator_products_match_brute_force_oracle_at_rank_four(
+        lengths, xdeg, mask):
+    # halves, thirds and integral Fractions on both sides; every output of the
+    # degree-0 shapes is integral, and the degree-1 shapes mix the two types
+    n = 4
+    rng = random.Random(4)
+    long = [w for w in enumerate_group(n) if length(w) in lengths]
+    e0, ident = (0,) * n, tuple(range(1, n + 1))
+    us = rng.sample(long, min(2, len(long)))
+    a = NHElement(n, {(e0, (), u.window): c for u, c in zip(us, (Fraction(6, 2), Fraction(3, 2)))})
+    if xdeg:
+        coeffs = (Fraction(1, 2), Fraction(-2, 3), Fraction(6, 3), Fraction(5, 6))
+        g = NHElement(n, {(tuple(int(k == j) for k in range(n)), mask, ident): c
+                          for j, c in enumerate(coeffs)})
+    else:
+        g = NHElement(n, {(e0, mask, ident): Fraction(2, 3)})
+    got = nh_mul(a, g)
+    assert got == reference.oracle_nh_mul(a, g)
+    assert got and all(type(c) is int for c in got.terms.values() if c.denominator == 1)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_product_matches_the_smallest_descent_word(n):
     rng = random.Random(20 + n)
@@ -265,3 +299,21 @@ def test_product_is_associative(args):
 @given(st.sampled_from([2, 3]).flatmap(elements))
 def test_parse_inverts_render(a):
     assert parse_nh(render_nh(a), a.nvars) == a
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(elements(n), elements(n))))
+def test_nh_command_prints_the_product(args):
+    a, b = args
+    n = a.nvars
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["nh", "--n", str(n), "--format", "json", "--",
+                         render_nh(a), render_nh(b)])
+    assert code == 0
+    payload = json.loads(out.getvalue())
+    assert payload["n"] == n
+    printed = {(tuple(t["x"]), tuple(t["odd"]), from_word(t["word"], n).window):
+               normalize_coeff(t["coeff"]) for t in payload["terms"]}
+    want = nh_mul(a, b).terms
+    assert printed == want
+    assert all(type(printed[k]) is type(c) for k, c in want.items())
