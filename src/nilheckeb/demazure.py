@@ -47,9 +47,12 @@ def demazure_w(w, f):
     intermediate d_u f is a polynomial of its own, and on the staircase
     x^delta it is the Schubert polynomial of an element on the path, of 1
     to 1,144 terms at n = 5.  Stripping the largest right descent first
-    (``weylb.descent_walk``) keeps these chains several times smaller than
-    stripping the smallest, and reads the word off the window as it goes.
-    The chain stops once f is zero.
+    (``weylb.descent_walk``) suits the chains of w_0 that ``schur_ext``
+    runs: d_(w_0) x^delta at n = 5 feeds the kernel 435 terms in all,
+    where stripping the smallest descent first feeds 2,809.  It reads the
+    word off the window as it goes.  ``schur.schubert`` walks its own
+    chain in ascending runs, which suit most other elements better.  The
+    chain stops once f is zero.
     """
     if w.n != f.nvars:
         raise ValueError("rank mismatch")

@@ -63,11 +63,15 @@ def normalize_coeff(c):
 
     Takes integers, rationals and their text (``"3"``, ``"-1/2"``).  A
     float or a bool raises TypeError: neither is read as a coefficient.
+    Text with a zero denominator raises ValueError.
     """
     if type(c) is int:
         return c
     if isinstance(c, str):
-        c = Fraction(c)
+        try:
+            c = Fraction(c)
+        except ZeroDivisionError:
+            raise ValueError(f"coefficient {c!r} has a zero denominator") from None
     elif isinstance(c, bool) or not isinstance(c, numbers.Rational):
         raise TypeError(f"coefficient {c!r} is not an integer or a fraction")
     if c.denominator == 1:
@@ -428,7 +432,7 @@ def parse_term(chunk, nvars):
             raise ValueError(f"cannot parse factor {factor!r}")
         rat, xi, xe, wi, dxi = m.groups()
         if rat is not None:
-            coeff *= Fraction(rat)
+            coeff *= normalize_coeff(rat)
         elif xi is not None:
             i = int(xi)
             if not 1 <= i <= nvars:

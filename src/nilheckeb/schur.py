@@ -23,7 +23,7 @@ from .demazure import demazure, demazure_w
 from .extpoly import OMEGA, XDEG, ExtPoly, degree, parse, random_poly
 from .report import SuiteReport
 from .weylb import (_MAX_GROUP_RANK, compose, enumerate_group, gen, identity, inverse,
-                    length, longest_element, right_descents)
+                    length, longest_element, right_descents, run_walk)
 
 __all__ = [
     "default_invariant_gens",
@@ -141,11 +141,23 @@ def schur_closed_form(i, n):
 
 
 def schubert(w, n=None):
-    """Schubert polynomial of a signed permutation."""
+    """Schubert polynomial of a signed permutation, d_(w^-1 w_0) of the staircase.
+
+    The result does not depend on the reduced word of w^-1 w_0, but every
+    polynomial on the way is the Schubert polynomial of an element on the
+    path, so the word sets the cost.  The ascending runs of
+    ``weylb.run_walk`` skirt the large polynomials in the middle of the
+    weak order, where ``demazure_w``'s largest-descent-first word passes
+    through them: on the ``perfbench`` ``schubert`` batch they feed the
+    kernel a quarter fewer terms.  Near the identity they feed more
+    (S_e: 770 terms against 435 at n = 5).
+    """
     if n is None:
         n = w.n
-    u = compose(inverse(w), longest_element(n))
-    return demazure_w(u, staircase((), n))
+    f = staircase((), n)
+    for i in run_walk(compose(inverse(w), longest_element(n)).window):
+        f = demazure(i, f)
+    return f
 
 
 def is_invariant(f):

@@ -35,6 +35,7 @@ __all__ = [
     "length",
     "left_ascent",
     "descent_walk",
+    "run_walk",
     "some_reduced_word",
     "all_reduced_words",
     "is_reduced",
@@ -164,7 +165,9 @@ def descent_walk(window):
     is negative, else the largest i < n whose entries descend.  The letters
     come in the order operators along the word are applied, so
     ``from_word`` of them reversed gives the element back.  A copy of the
-    window is stepped in place as the letters are drawn.
+    window is stepped in place as the letters are drawn.  This word suits
+    the chain of w_0 and elements near the identity; ``run_walk`` spells a
+    cheaper one for most Schubert polynomials.
     """
     win = list(window)
     n = len(win)
@@ -180,6 +183,35 @@ def descent_walk(window):
                 break
         else:
             return
+
+
+def run_walk(window):
+    """The letters of a reduced word of the window's element in ascending runs.
+
+    Like ``descent_walk``, the letters come rightmost first and a copy of
+    the window is stepped in place.  Each run starts at the smallest right
+    descent i and goes on with i + 1 while that is a descent of what is
+    left: the run i, i + 1, ..., k carries the entry at position i to
+    position k + 1, and a run that reaches n carries it to the end and
+    flips its sign.
+    """
+    win = list(window)
+    n = len(win)
+    while True:
+        for i in range(1, n):
+            if _descends(win[i - 1], win[i]):
+                break
+        else:
+            if win[-1] > 0:
+                return
+            i = n
+        while i < n and _descends(win[i - 1], win[i]):
+            win[i - 1], win[i] = win[i], win[i - 1]
+            yield i
+            i += 1
+        if i == n and win[-1] < 0:
+            win[-1] = -win[-1]
+            yield n
 
 
 def left_ascent(i, window):

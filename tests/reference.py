@@ -13,9 +13,10 @@ own word expansion and group bookkeeping.  The dense invariant count
 ``linalg.span_rank`` but not Molien's formula, which it checks.  The
 word oracles ``oracle_demazure_w`` and ``oracle_nh_mul_word`` run the
 package's own operators along ``some_reduced_word`` (smallest descent
-first), so they check that the largest-descent-first walk changes no
-result; ``oracle_nh_mul_word`` also keeps its pieces rational, where
-``nh_mul`` clears denominators first, so it checks the clearing too.
+first), so they check that neither the largest-descent-first walk nor
+the ascending runs of ``schubert`` change a result;
+``oracle_nh_mul_word`` also keeps its pieces rational, where ``nh_mul``
+clears denominators first, so it checks the clearing too.
 """
 
 import itertools

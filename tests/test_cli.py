@@ -222,6 +222,18 @@ def test_misplaced_signs_are_exit_one(capsys, command, text):
     assert "expected a term" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,text,coeff", [
+    ("parse", "3/0*x1", "3/0"),
+    ("nh", "1/0*D(1)", "1/0"),
+    ("nh", "x1*D(1) + 2/0", "2/0"),
+])
+def test_zero_denominators_are_exit_one(capsys, command, text, coeff):
+    assert cli.main([command, "--n", "2", text]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"nhb {command}: coefficient '{coeff}' has a zero denominator\n"
+
+
 def test_parse_canonicalizes(capsys):
     code, out = run(capsys, ["parse", "--n", "2", "w2*w1 + x1*x1"])
     assert code == 0

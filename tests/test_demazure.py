@@ -18,13 +18,13 @@ from nilheckeb import (
     demazure,
     demazure_w,
     demazure_word,
-    identity,
     longest_element,
     parse,
     random_poly,
     render,
     schubert,
     schur_ext,
+    staircase,
     verify_nil_relations,
 )
 
@@ -162,21 +162,39 @@ def test_walk_matches_the_smallest_descent_word(case):
     assert demazure_w(w, f) == reference.oracle_demazure_w(w, f)
 
 
-@pytest.mark.parametrize("chain,peak,total", [
-    (lambda: schubert(identity(5), 5), 126, 435),
-    (lambda: schur_ext((), (1,), 6), 55, 189),
-], ids=["schubert-e-5", "schur-1-6"])
-def test_chains_strip_the_largest_descent_first(monkeypatch, chain, peak, total):
-    # terms fed to the kernel along the chain, largest and summed; stripping the
-    # smallest descent first feeds 291 / 2,809 and 29,724 / 260,918 terms
-    fed, kernel = [], _kernels_py.demazure_terms
+@pytest.fixture
+def fed(monkeypatch):
+    """The number of terms fed to the kernel at each step, in order."""
+    counts, kernel = [], _kernels_py.demazure_terms
 
     def counting(terms, i, n):
-        fed.append(len(terms))
+        counts.append(len(terms))
         return kernel(terms, i, n)
 
     monkeypatch.setattr(_kernels_py, "demazure_terms", counting)
+    return counts
+
+
+@pytest.mark.parametrize("chain,peak,total", [
+    (lambda: demazure_w(longest_element(5), staircase((), 5)), 126, 435),
+    (lambda: schur_ext((), (1,), 6), 55, 189),
+], ids=["schubert-e-5", "schur-1-6"])
+def test_chains_strip_the_largest_descent_first(fed, chain, peak, total):
+    # terms fed to the kernel along the chain, largest and summed; stripping the
+    # smallest descent first feeds 291 / 2,809 and 29,724 / 260,918 terms
     chain()
+    assert max(fed) <= peak and sum(fed) <= total
+
+
+@pytest.mark.parametrize("window,peak,total", [
+    ((-5, 4, 1, -2, -3), 438, 1043),
+    ((1, 3, 2, -4, -5), 162, 1169),
+    ((1, 2, 3, 4, 5), 107, 770),
+], ids=["middle", "near-top", "identity"])
+def test_schubert_climbs_ascending_runs(fed, window, peak, total):
+    # the largest-descent-first word feeds 841 / 3,781, 775 / 4,147 and 126 / 435
+    # terms: the runs win away from the identity and lose near it, up to this bound
+    schubert(SignedPerm(window), 5)
     assert max(fed) <= peak and sum(fed) <= total
 
 

@@ -182,6 +182,17 @@ def test_float_and_other_coefficients_are_rejected(bad):
         from_json({"nvars": 2, "odd": OMEGA, "terms": [{"coeff": bad, "x": [1, 0], "odd": []}]})
 
 
+@pytest.mark.parametrize("text", ["1/0", "12/0", "0/0"])
+def test_zero_denominators_are_rejected_by_name(text):
+    message = f"coefficient '{text}' has a zero denominator"
+    with pytest.raises(ValueError, match=message):
+        normalize_coeff(text)
+    with pytest.raises(ValueError, match=message):
+        from_json({"nvars": 2, "odd": OMEGA, "terms": [{"coeff": text, "x": [1, 0], "odd": []}]})
+    with pytest.raises(ValueError, match=message):
+        parse(f"{text}*x1", 2)
+
+
 def test_from_json_takes_integers_and_strings():
     text = '{"nvars": 2, "odd": "w", "terms": [%s]}'
     term = '{"coeff": %s, "x": [1, 0], "odd": []}'

@@ -31,6 +31,21 @@ def test_odd_merge_signs():
     assert kern.odd_merge((2,), (2,)) is None
 
 
+masks = st.sets(st.integers(1, 8)).map(lambda m: tuple(sorted(m)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(masks, masks)
+def test_odd_merge_sign_is_the_inversion_parity(ma, mb):
+    merged = kern.odd_merge(ma, mb)
+    if set(ma) & set(mb):
+        assert merged is None
+        return
+    seq = ma + mb
+    inversions = sum(a > b for k, a in enumerate(seq) for b in seq[k + 1:])
+    assert merged == ((-1) ** inversions, tuple(sorted(seq)))
+
+
 def test_division_reconstructs():
     rng = random.Random(5)
     for _ in range(20):

@@ -4,19 +4,25 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from nilheckeb import (
+    SignedPerm,
     compose,
     decompose_schubert,
     demazure,
+    demazure_w,
     enumerate_group,
     format_poincare,
     from_word,
     gen,
     invariant_schur_basis,
+    inverse,
     is_invariant,
     length,
+    longest_element,
     poincare,
     poincare_formula,
     random_poly,
@@ -84,6 +90,26 @@ def test_schubert_values():
     assert render(schubert(from_word((2,), n))) == "x1 + x2"
     w0 = from_word((1, 2, 1, 2), n)
     assert schubert(w0) == staircase((), n)
+
+
+def assert_schubert_word_free(w, n):
+    # the run-walk chain against the largest-first and the smallest-first words
+    top = compose(inverse(w), longest_element(n))
+    got = schubert(w, n)
+    assert got == demazure_w(top, staircase((), n))
+    assert got == reference.oracle_demazure_w(top, staircase((), n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_schubert_does_not_depend_on_the_word(n):
+    for w in enumerate_group(n):
+        assert_schubert_word_free(w, n)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.permutations(range(1, 6)), st.lists(st.sampled_from((1, -1)), min_size=5, max_size=5))
+def test_schubert_does_not_depend_on_the_word_at_rank_five(perm, signs):
+    assert_schubert_word_free(SignedPerm(s * p for s, p in zip(signs, perm)), 5)
 
 
 def test_schubert_top_degree_is_length():

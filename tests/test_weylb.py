@@ -27,6 +27,7 @@ from nilheckeb import (
     longest_word,
     parse,
     random_poly,
+    run_walk,
     some_reduced_word,
     verify_weyl,
 )
@@ -84,6 +85,26 @@ def test_descent_walk_strips_the_largest_descent_first():
     assert list(descent_walk(longest_element(3).window)) == [3, 2, 3, 2, 1, 2, 3, 2, 1]
     assert list(descent_walk((2, 3, 1))) == [2, 1]
     assert list(descent_walk(identity(4).window)) == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_run_walk_spells_a_reduced_word(n):
+    for w in enumerate_group(n):
+        letters = list(run_walk(w.window))
+        assert len(letters) == length(w)
+        assert from_word(reversed(letters), n) == w
+
+
+def test_run_walk_climbs_ascending_runs():
+    # each run starts at the smallest descent and carries one entry right;
+    # a run that reaches n flips the entry's sign
+    assert list(run_walk(longest_element(3).window)) == [1, 2, 3, 1, 2, 3, 1, 2, 3]
+    assert list(run_walk((1, -2, 3))) == [2, 3, 2]
+    assert list(run_walk((-1, 2))) == [1, 2, 1]
+    assert list(run_walk((4, 1, 2, 3))) == [1, 2, 3]
+    assert list(run_walk((2, 3, 1))) == [2, 1]
+    assert list(run_walk((-1,))) == [1]
+    assert list(run_walk(identity(4).window)) == []
 
 
 def test_action_on_even_variables():
