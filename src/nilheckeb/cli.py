@@ -39,11 +39,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _csv_ints(text):
-    text = text.strip()
+def _csv_ints(ns, option):
+    """The comma-separated integers of --option; a bad token is named with it."""
+    text = getattr(ns, option).strip()
     if not text:
         return ()
-    return tuple(int(tok) for tok in text.split(","))
+    out = []
+    for tok in text.split(","):
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise ValueError(f"--{option} {text!r}: {tok.strip()!r} is not an integer") from None
+    return tuple(out)
 
 
 def build_parser():
@@ -116,15 +123,15 @@ def _poly_out(ns, f):
 
 
 def _cmd_schur(ns):
-    alpha = _csv_ints(ns.alpha)
-    beta = _csv_ints(ns.beta)
+    alpha = _csv_ints(ns, "alpha")
+    beta = _csv_ints(ns, "beta")
     f = schur.schur_ext(alpha, beta, ns.n)
     _emit(ns, _poly_out(ns, f))
     return EXIT_OK
 
 
 def _cmd_schubert(ns):
-    word = _csv_ints(ns.word)
+    word = _csv_ints(ns, "word")
     w = weylb.from_word(word, ns.n)
     f = schur.schubert(w, ns.n)
     _emit(ns, _poly_out(ns, f))

@@ -159,7 +159,7 @@ class ExtPoly:
             key = (xexp, mask)
             c = c if sign > 0 else -c
             v = acc.get(key)
-            acc[key] = c if v is None else v + c
+            acc[key] = c if v is None else normalize_coeff(v + c)
         return cls(nvars, family, {k: v for k, v in acc.items() if v})
 
     # -- basic queries --------------------------------------------------

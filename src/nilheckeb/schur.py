@@ -23,7 +23,8 @@ from .demazure import demazure, demazure_w
 from .extpoly import OMEGA, XDEG, ExtPoly, degree, parse, random_poly
 from .report import SuiteReport
 from .weylb import (_MAX_GROUP_RANK, compose, enumerate_group, gen, identity, inverse,
-                    length, longest_element, right_descents, run_walk)
+                    length, longest_element, right_descents, run_walk, spine,
+                    spine_above)
 
 __all__ = [
     "default_invariant_gens",
@@ -143,19 +144,85 @@ def schur_closed_form(i, n):
 def schubert(w, n=None):
     """Schubert polynomial of a signed permutation, d_(w^-1 w_0) of the staircase.
 
-    The result does not depend on the reduced word of w^-1 w_0, but every
-    polynomial on the way is the Schubert polynomial of an element on the
-    path, so the word sets the cost.  The ascending runs of
-    ``weylb.run_walk`` skirt the large polynomials in the middle of the
-    weak order, where ``demazure_w``'s largest-descent-first word passes
-    through them: on the ``perfbench`` ``schubert`` batch they feed the
-    kernel a quarter fewer terms.  Near the identity they feed more
-    (S_e: 770 terms against 435 at n = 5).
+    The chain starts at the lowest spine element U above w in the right
+    weak order (``weylb.spine_above``), whose Schubert polynomial is a
+    monomial, and applies d_i along the ascending runs of w^-1 U
+    (``weylb.run_walk``).  Since U = w (w^-1 U) with the lengths adding,
+    d_(w^-1 w_0) = d_(w^-1 U) d_(U^-1 w_0), so S_w = d_(w^-1 U) S_U; the
+    result does not depend on the reduced word, but every polynomial on
+    the way is the Schubert polynomial of an element on the path, so the
+    start and the word set the cost.  S_(s_1) at n = 8 takes no step at all.
+
+    Spine lemma: S_U(ell) = x_1^delta_1 ... x_k^delta_k x_(k+1)^r, for
+    U(ell) and ell = delta_1 + ... + delta_k + r as in ``weylb.spine``.
+
+    Proof.  Write d for the divided differences, A = sum_v sgn(v) v for
+    the antisymmetrizer of W = B_m, and y_i = x_i^2.
+
+    (a) The blocks.  U(j) = -j = w_0(j) for j <= k, so U^-1 w_0 lies in
+    the parabolic subgroup on positions k+1..n, a B_m with m = n - k; its
+    d_i treat x_1..x_k as scalars, and on x_(k+1)..x_n the staircase is
+    the rank-m one.  So S_U = x_1^delta_1 ... x_k^delta_k S^(m)_(u_r), where
+    u_r is the rank-m element of window (c', the rest increasing), c' =
+    1+r (r < m) or -(2m-r).  It remains to show S_(u_r) = x_1^r at rank m.
+
+    (b) Tools.  d_(w_0) f = A(f)/Delta, Delta the product of the positive
+    roots x_i - x_j, x_i + x_j, 2x_i; A(x^delta) = Delta (the Weyl
+    denominator), so d_(w_0) x^delta = 1.  A kills a monomial with an even
+    exponent, which the sign change of that variable fixes.  Hence
+    tau(F) := d_(w_0)(x^delta F) only sees the part E(F) of F with every
+    exponent even, and equals a(y^rho E(F))/a(y^rho), rho = (m-1, ..., 0),
+    a the antisymmetrizer of S_m on y.  Each d_i is self-adjoint for
+    <F, G> = d_(w_0)(F G), because d_i(F d_i G) = d_i F d_i G =
+    d_i(d_i F G); so d_v and d_(v^-1) are adjoint.
+
+    (c) The coset.  u_r has the single right descent 1, so S_(u_r) is
+    invariant under W_J, J = {s_2, ..., s_m} (the B_(m-1) on x_2..x_m), as
+    x_1^r is.  W_J-invariants are polynomials in x_1 over W-invariants,
+    and x_1 is a root of the monic prod_i (T^2 - y_i), so D = S_(u_r) - x_1^r
+    = sum_(a < 2m) g_a x_1^a with W-invariant g_a.  Let y0 = (-1, 2, ..., m)
+    = s_1 ... s_m ... s_1 = w_0 w_(0,J), of length 2m - 1.  Then d_(y0)
+    is linear over W-invariants, d_(y0) x_1^c = 0 for c < 2m - 1 and
+    d_(y0) x_1^(2m-1) = d_(w_0) x^delta = 1.  So if d_(y0)(x_1^b D) = 0
+    for every b >= 0, b = 2m-1-a for the top a with g_a != 0 gives g_a =
+    0: D = 0.
+
+    (d) The pairing.  With X = x_2^(2m-3) ... x_m and H W_J-invariant,
+    d_(y0) H = d_(w_0)(H X), since d_(w_0) = d_(y0) d_(w_0,J) and
+    d_(w_0,J)(H X) = H.  Let h = (1, 2, ..., m, ..., 2, 1), L = 2m-1-r and
+    u_L = s_(h_L) ... s_(h_1); u_r is this for L = r, and y0 = u_L^-1 u_r
+    since h is a palindrome.  As w_0 is central, u_r^-1 w_0 = w_(0,J)
+    u_L^-1, the lengths adding, so by (b) d_(y0)(x_1^b S_(u_r)) =
+    d_(w_0)(x_1^b X d_(w_0,J) d_(u_L^-1) x^delta) = d_(w_0)(x_1^b
+    d_(u_L^-1) x^delta) = tau(d_(u_L) x_1^b), while d_(y0)(x_1^(b+r)) =
+    d_(w_0)(x_1^(b+r) X) = tau(x_1^(b-L)) (0 when b < L).
+
+    (e) The count.  In generating functions, d_(u_L) (d_1 applied first)
+    sends sum_b z^b x_1^b = 1/(1 - z x_1) to z^L prod_(i in P) 1/(1 - z x_i)
+    prod_(i in Q) 1/(1 - z^2 y_i), with P = 1..L+1 and Q empty when L < m,
+    and P = 1..2m-L-1, Q = 2m-L..m otherwise: d_i (i < m) sends
+    1/(1 - z x_i) to z/((1 - z x_i)(1 - z x_(i+1))), d_m sends 1/(1 - z x_m)
+    to z/(1 - z^2 y_m), and d_i for i = m-1 down to 2m-L sends
+    1/((1 - z x_i)(1 - z^2 y_(i+1))) to z/((1 - z^2 y_i)(1 - z^2 y_(i+1))),
+    the other factors being symmetric in x_i, x_(i+1).  Taking E,
+    E(d_(u_L) x_1^b) is the complete homogeneous h_j(y_1, ..., y_q),
+    q = min(L+1, m), when b - L = 2j,
+    and 0 when b - L is odd, as is E(x_1^(b-L)).  Finally
+    a(y^rho h_j(y_1..y_q)) = a(y^rho y_1^j): swapping y_(q-1), y_q pairs
+    the exponent c with c_q >= 1 with (.., c_q - 1, c_(q-1) + 1) of the
+    opposite sign (a fixed point repeats an exponent), so the terms with
+    c_q >= 1 cancel and q drops to 1.  So tau(d_(u_L) x_1^b) =
+    tau(x_1^(b-L)) for every b, and (c) closes the proof.
     """
     if n is None:
         n = w.n
-    f = staircase((), n)
-    for i in run_walk(compose(inverse(w), longest_element(n)).window):
+    ell = spine_above(w)
+    e, rest = [], ell
+    for i in range(1, n + 1):
+        e.append(min(rest, 2 * (n - i) + 1))
+        rest -= e[-1]
+    f = ExtPoly(n, OMEGA, {(tuple(e), ()): 1})
+    for i in run_walk(compose(inverse(w), spine(ell, n)).window):
         f = demazure(i, f)
     return f
 
@@ -304,8 +371,9 @@ def verify_schur(n, trials=10, seed=0):
     staircase, the one-column closed form, the product sign rule, the
     invariance, count and independence of the 2^n invariant Schur basis,
     the Schubert degrees and independence by the divided-difference walk,
-    the Poincare series, the decomposition round trip (n <= 2) and one
-    Schubert polynomial against the walk.
+    the Poincare series, the decomposition round trip (n <= 2), one
+    Schubert polynomial against the walk, and the monomial Schubert
+    polynomial of every spine element against the chain from x^delta.
     """
     if n > _MAX_GROUP_RANK:
         raise ValueError(f"the schur suite walks the group, capped at n = {_MAX_GROUP_RANK}")
@@ -387,5 +455,11 @@ def verify_schur(n, trials=10, seed=0):
 
     rep.trials("Schubert polynomials equal the walk", 1,
                lambda w: schubert(w, n) == walked, lambda: target)
+
+    # The spine lemma, against chains from x^delta that do not start at a spine element.
+    w0, top = longest_element(n), staircase((), n)
+    spines = [spine(ell, n) for ell in range(n * n + 1)]
+    rep.add("spine polynomials equal the divided-difference chain",
+            all(schubert(u, n) == demazure_w(compose(inverse(u), w0), top) for u in spines))
 
     return rep

@@ -36,6 +36,8 @@ __all__ = [
     "left_ascent",
     "descent_walk",
     "run_walk",
+    "spine",
+    "spine_above",
     "some_reduced_word",
     "all_reduced_words",
     "is_reduced",
@@ -212,6 +214,74 @@ def run_walk(window):
         if i == n and win[-1] < 0:
             win[-1] = -win[-1]
             yield n
+
+
+def spine(ell, n):
+    """The spine element U(ell) of length ell, 0 <= ell <= n^2.
+
+    Write ell = delta_1 + ... + delta_k + r with delta_i = 2(n-i)+1 and
+    0 <= r < delta_(k+1), and let m = n - k.  U(ell) has the window
+    (-1, ..., -k, c, the other values of k+1..n in increasing order) with
+    c = k+1+r when r < m and c = -(k+2m-r) otherwise.  Its Schubert
+    polynomial is the monomial x_1^delta_1 ... x_k^delta_k x_(k+1)^r
+    (``schur.schubert`` proves it); U(n^2) = w_0 and U(0) = e.
+    """
+    if not 0 <= ell <= n * n:
+        raise ValueError(f"spine length {ell} out of range 0..{n * n}")
+    k = 0
+    while k < n and ell >= 2 * (n - k) - 1:
+        ell -= 2 * (n - k) - 1
+        k += 1
+    if k == n:
+        return longest_element(n)
+    m = n - k
+    c = k + 1 + ell if ell < m else -(k + 2 * m - ell)
+    return SignedPerm([-j for j in range(1, k + 1)] + [c]
+                      + [v for v in range(k + 1, n + 1) if v != abs(c)])
+
+
+def spine_above(w):
+    """The length of the lowest spine element U with w <= U in the right weak order.
+
+    w <= U when l(U) = l(w) + l(w^-1 U), that is when every positive root
+    that w^-1 sends negative U^-1 sends negative too.  Those roots are the
+    ones on which z = w(delta) is negative: e_p for z_p < 0, e_p - e_q
+    (p < q) for z_p < z_q, e_p + e_q for z_p + z_q < 0, where z_|w(i)| =
+    sign(w(i)) delta_i.  U(ell) with k leading negated entries takes
+    every root that touches a position <= k; on positions k+1..n its
+    roots all touch one position p: the roots e_i - e_p (i < p) when
+    r < m, and the other roots through p when r >= m.  So U(ell) lies
+    above w exactly when z on positions k+1..n, with one entry p left out,
+    is positive and strictly decreasing, and the inversions through p
+    are of the kind that r allows.  The lowest such U is read off the
+    longest suffix of z that is already positive and decreasing, in
+    O(n): its head z_j and the entry z_b just before it decide p (j when
+    z_b > 0 fits between its neighbours, else b), and p decides how far
+    left the suffix extends (k) and r.
+    """
+    n = w.n
+    z = [0] * n
+    for i, v in enumerate(w.window):
+        if v > 0:
+            z[v - 1] = 2 * (n - i) - 1
+        else:
+            z[-v - 1] = 1 - 2 * (n - i)
+    j, top = n, 0
+    while j and z[j - 1] > top:
+        j -= 1
+        top = z[j]
+    if not j:
+        return 0
+    b = j - 1
+    nxt = z[j + 1] if j + 1 < n else 0
+    # leave out the head z_j when z_b fits after it (r < m), else z_b (r >= m)
+    drop_head = j < n and z[b] > nxt
+    s, top = b, z[b] if drop_head else (z[j] if j < n else 0)
+    while s and z[s - 1] > top:
+        s -= 1
+        top = z[s]
+    r = j - s if drop_head else 2 * (n - s) - (b - s + 1)
+    return s * (2 * n - s) + r
 
 
 def left_ascent(i, window):

@@ -234,6 +234,18 @@ def test_zero_denominators_are_exit_one(capsys, command, text, coeff):
     assert captured.err == f"nhb {command}: coefficient '{coeff}' has a zero denominator\n"
 
 
+@pytest.mark.parametrize("argv,err", [
+    (["schubert", "--n", "2", "--word", "1,,2"], "nhb schubert: --word '1,,2': '' is not an integer"),
+    (["schur", "--n", "2", "--alpha", "2,,1"], "nhb schur: --alpha '2,,1': '' is not an integer"),
+    (["schur", "--n", "2", "--beta", "1,x"], "nhb schur: --beta '1,x': 'x' is not an integer"),
+])
+def test_malformed_lists_name_the_option_and_the_token(capsys, argv, err):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err + "\n"
+
+
 def test_parse_canonicalizes(capsys):
     code, out = run(capsys, ["parse", "--n", "2", "w2*w1 + x1*x1"])
     assert code == 0

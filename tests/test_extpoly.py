@@ -1,5 +1,6 @@
 """Ring arithmetic, text and JSON round-trips, gradings, exact division."""
 
+import json
 import random
 import re
 from fractions import Fraction
@@ -163,11 +164,23 @@ def test_json_round_trip(seed):
     assert from_json(obj) == f
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4]).flatmap(polys))
+def test_json_round_trip_is_exact(f):
+    obj = to_json(f)
+    back = from_json(json.dumps(obj))
+    assert back == f and back.family == f.family and back.nvars == f.nvars
+    assert {k: type(c) for k, c in back.terms.items()} == {k: type(c) for k, c in f.terms.items()}
+    assert to_json(back) == obj
+
+
 def test_coefficients_are_int_when_integral():
     assert type(normalize_coeff(Fraction(6, 3))) is int
     assert normalize_coeff("-4/2") == -2 and type(normalize_coeff("-4/2")) is int
     assert normalize_coeff("1/3") == Fraction(1, 3)
     assert type(ExtPoly.const(2, Fraction(4, 2)).constant_term()) is int
+    # terms that meet in from_terms (parse, from_json) sum to an int too
+    assert type(parse("1/2*x1 + 1/2*x1", 2).terms[((1, 0), ())]) is int
     assert type(parse("2*1/2*x1", 2).coeff_of((1, 0))) is int
     assert render(ExtPoly.const(2, Fraction(4, 2))) == render(ExtPoly.const(2, 2)) == "2"
 

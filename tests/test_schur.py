@@ -30,6 +30,8 @@ from nilheckeb import (
     schubert,
     schur_closed_form,
     schur_ext,
+    spine,
+    spine_above,
     staircase,
     verify_schur,
 )
@@ -110,6 +112,47 @@ def test_schubert_does_not_depend_on_the_word(n):
 @given(st.permutations(range(1, 6)), st.lists(st.sampled_from((1, -1)), min_size=5, max_size=5))
 def test_schubert_does_not_depend_on_the_word_at_rank_five(perm, signs):
     assert_schubert_word_free(SignedPerm(s * p for s, p in zip(signs, perm)), 5)
+
+
+def spine_monomial(ell, n):
+    """x_1^delta_1 ... x_k^delta_k x_(k+1)^r for ell = delta_1 + ... + delta_k + r."""
+    e = []
+    for i in range(1, n + 1):
+        e.append(min(ell - sum(e), 2 * (n - i) + 1))
+    return ExtPoly(n, OMEGA, {(tuple(e), ()): 1})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_spine_lemma(n):
+    # the spine polynomials, from x^delta along the largest-descent-first word
+    w0, top = longest_element(n), staircase((), n)
+    for ell in range(n * n + 1):
+        u = spine(ell, n)
+        assert demazure_w(compose(inverse(u), w0), top) == spine_monomial(ell, n)
+
+
+def test_spine_monomials_are_the_only_ones():
+    # at each length exactly one Schubert polynomial is a single monomial
+    n = 4
+    singles = sorted(length(w) for w in enumerate_group(n) if len(schubert(w, n).terms) == 1)
+    assert singles == list(range(n * n + 1))
+
+
+@st.composite
+def signed_perms(draw, max_rank):
+    n = draw(st.integers(1, max_rank))
+    perm = draw(st.permutations(range(1, n + 1)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return SignedPerm(s * p for s, p in zip(signs, perm))
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_perms(6))
+def test_schubert_matches_the_smallest_descent_chain(w):
+    n = w.n
+    want = reference.oracle_demazure_w(compose(inverse(w), longest_element(n)), staircase((), n))
+    assert schubert(w, n) == want
+    assert spine_above(w) >= length(w)
 
 
 def test_schubert_top_degree_is_length():

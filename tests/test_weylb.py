@@ -29,6 +29,8 @@ from nilheckeb import (
     random_poly,
     run_walk,
     some_reduced_word,
+    spine,
+    spine_above,
     verify_weyl,
 )
 
@@ -105,6 +107,36 @@ def test_run_walk_climbs_ascending_runs():
     assert list(run_walk((2, 3, 1))) == [2, 1]
     assert list(run_walk((-1,))) == [1]
     assert list(run_walk(identity(4).window)) == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_spine_climbs_one_length_at_a_time(n):
+    elements = [spine(ell, n) for ell in range(n * n + 1)]
+    assert elements[0] == identity(n) and elements[-1] == longest_element(n)
+    assert [length(u) for u in elements] == list(range(n * n + 1))
+    # the first block u_r is s_(h_r) ... s_(h_1) for h = 1, 2, ..., n, ..., 2, 1
+    h = list(range(1, n + 1)) + list(range(n - 1, 0, -1))
+    for r in range(2 * n):
+        assert spine(r, n) == from_word(reversed(h[:r]), n)
+
+
+def test_spine_windows():
+    assert [spine(ell, 3).window for ell in range(10)] == [
+        (1, 2, 3), (2, 1, 3), (3, 1, 2), (-3, 1, 2), (-2, 1, 3), (-1, 2, 3),
+        (-1, 3, 2), (-1, -3, 2), (-1, -2, 3), (-1, -2, -3)]
+    with pytest.raises(ValueError, match="out of range"):
+        spine(10, 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_spine_above_matches_a_scan(n):
+    # the lowest U(ell) with l(w^-1 U) = l(U) - l(w), found by trying every ell
+    elements = [spine(ell, n) for ell in range(n * n + 1)]
+    for w in enumerate_group(n):
+        lw = length(w)
+        scan = next(ell for ell, u in enumerate(elements)
+                    if length(compose(inverse(w), u)) == ell - lw)
+        assert spine_above(w) == scan
 
 
 def test_action_on_even_variables():
