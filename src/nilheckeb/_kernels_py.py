@@ -143,66 +143,6 @@ def mul_terms(a, b):
     return out
 
 
-def div_linear_terms(a, i, j):
-    """Divide by ``x_i - x_j`` (0-based slots ``i != j``).
-
-    Synthetic division in ``x_i`` about ``x_i = x_j``: per term,
-    ``x_i^k = (x_i - x_j) * sum_t x_i^t x_j^(k-1-t) + x_j^k``.
-    Returns ``(quotient, remainder)``; the remainder is free of ``x_i``.
-    """
-    quot = {}
-    rem = {}
-    for (e, m), c in a.items():
-        k = e[i]
-        base = list(e)
-        for t in range(k):
-            q = list(base)
-            q[i] = t
-            q[j] = e[j] + (k - 1 - t)
-            key = (tuple(q), m)
-            v = quot.get(key)
-            if v is None:
-                quot[key] = c
-            else:
-                v = v + c
-                if v:
-                    quot[key] = v
-                else:
-                    del quot[key]
-        r = list(base)
-        r[i] = 0
-        r[j] = e[j] + k
-        key = (tuple(r), m)
-        v = rem.get(key)
-        if v is None:
-            rem[key] = c
-        else:
-            v = v + c
-            if v:
-                rem[key] = v
-            else:
-                del rem[key]
-    return quot, rem
-
-
-def div_var_terms(a, i):
-    """Divide by the single variable ``x_i`` (0-based slot).
-
-    Returns ``(quotient, remainder)`` where the remainder collects the
-    terms with ``x_i``-exponent zero, untouched.
-    """
-    quot = {}
-    rem = {}
-    for (e, m), c in a.items():
-        if e[i] == 0:
-            rem[(e, m)] = c
-        else:
-            q = list(e)
-            q[i] -= 1
-            quot[(tuple(q), m)] = c
-    return quot, rem
-
-
 def demazure_terms(terms, i, n, out=None):
     """The divided difference ∂_i of a w-family term dict (1-based ``i``).
 

@@ -34,28 +34,18 @@ __all__ = [
     "OMEGA",
     "DX",
     "ExtPoly",
-    "DivisionError",
     "normalize_coeff",
     "Grading",
     "XDEG",
     "BIDEG",
     "DGN",
     "degree",
-    "exact_div_linear",
     "parse",
     "render",
     "to_json",
     "from_json",
     "random_poly",
 ]
-
-
-class DivisionError(ArithmeticError):
-    """Raised when an exact division leaves a nonzero remainder."""
-
-    def __init__(self, message, remainder=None):
-        super().__init__(message)
-        self.remainder = remainder
 
 
 def normalize_coeff(c):
@@ -141,21 +131,23 @@ class ExtPoly:
 
     @classmethod
     def from_terms(cls, nvars, entries, family=OMEGA):
-        """Build from ``(coeff, xexp, odd_seq)`` triples; odd order may be free."""
+        """Build from ``(coeff, xexp, odd_seq)`` triples; odd order may be free.
+
+        An exponent or odd index that is not an ``int`` in range raises
+        ValueError; a repeated odd index makes its term zero.
+        """
         acc = {}
         for coeff, xexp, odd_seq in entries:
             c = normalize_coeff(coeff)
-            if not c:
-                continue
             xexp = tuple(xexp)
-            if len(xexp) != nvars or any(e < 0 for e in xexp):
+            if len(xexp) != nvars or any(type(e) is not int or e < 0 for e in xexp):
                 raise ValueError(f"bad exponent tuple {xexp!r}")
+            if any(type(i) is not int or not 1 <= i <= nvars for i in odd_seq):
+                raise ValueError(f"bad odd index sequence {odd_seq!r}")
             norm = _normalize_mask(odd_seq)
-            if norm is None:
+            if norm is None or not c:
                 continue
             sign, mask = norm
-            if any(not 1 <= i <= nvars for i in mask):
-                raise ValueError(f"odd index out of range in {odd_seq!r}")
             key = (xexp, mask)
             c = c if sign > 0 else -c
             v = acc.get(key)
@@ -320,34 +312,6 @@ def degree(f, grading):
     if len(degs) != 1:
         return None
     return degs.pop()
-
-
-# -- exact division by linear forms ------------------------------------
-
-
-def exact_div_linear(f, i, j=None):
-    """Divide f exactly by x_i - x_j (i < j), or by x_i when j is None.
-
-    Indices are 1-based; DivisionError, carrying the remainder, if the
-    form does not divide f.
-    """
-    n = f.nvars
-    if j is None:
-        if not 1 <= i <= n:
-            raise ValueError(f"variable index {i} out of range 1..{n}")
-        quot, rem = _k.div_var_terms(f.terms, i - 1)
-        form = f"x{i}"
-    else:
-        if not 1 <= i < j <= n:
-            raise ValueError(f"need indices 1 <= i < j <= {n}, got {i}, {j}")
-        quot, rem = _k.div_linear_terms(f.terms, i - 1, j - 1)
-        form = f"x{i} - x{j}"
-    if rem:
-        raise DivisionError(
-            f"{form} does not divide exactly",
-            remainder=ExtPoly(f.nvars, f.family, rem),
-        )
-    return ExtPoly(f.nvars, f.family, quot)
 
 
 # -- text form ----------------------------------------------------------

@@ -377,7 +377,10 @@ def verify_presentation(n, trials=25, seed=0):
     """Element-level relations, action compatibility, faithfulness evidence."""
     rep = SuiteReport(f"nilhecke(n={n})")
     rng = random.Random(seed)
-    group = enumerate_group(n)
+    try:
+        group = enumerate_group(n)
+    except ValueError as err:
+        raise ValueError(f"the nilhecke suite draws from the group: {err}") from None
 
     pairs = _relation_pairs(n)
     bad = [name for name, lhs, rhs in pairs if lhs != rhs]

@@ -45,9 +45,6 @@ class SuiteReport:
     def passed(self):
         return all(c.passed for c in self.checks)
 
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
-
     def to_json(self):
         return {
             "suite": self.suite,

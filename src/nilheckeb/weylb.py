@@ -39,7 +39,6 @@ __all__ = [
     "spine",
     "spine_above",
     "some_reduced_word",
-    "all_reduced_words",
     "is_reduced",
     "longest_element",
     "longest_word",
@@ -320,17 +319,6 @@ def some_reduced_word(w):
     if not cur.is_identity():
         raise AssertionError("descent stripping failed to reach the identity")
     return tuple(reversed(letters))
-
-
-def all_reduced_words(w):
-    """Every reduced word of w (exponential; meant for small ranks)."""
-    if w.is_identity():
-        return [()]
-    out = []
-    for i in right_descents(w):
-        for u in all_reduced_words(compose(w, gen(i, w.n))):
-            out.append(u + (i,))
-    return out
 
 
 def is_reduced(word, n):

@@ -1,12 +1,13 @@
 """Independent oracles the tests compare the library against.
 
 Everything here is written from scratch on sympy and plain tuples: a
-symbolic divided difference for even polynomials, the closed form of
-the solved images J(w_j), and a breadth-first model of the
-signed-permutation group.  There are four exceptions.  The
-two-step divided difference ``oracle_demazure`` borrows ``act_gen`` and
-``exact_div_linear`` but not the term-by-term kernel, which it checks.
-The brute-force operator product ``oracle_nh_mul`` borrows the
+symbolic divided difference for even polynomials, exact division by a
+linear form, the closed form of the solved images J(w_j), and a
+breadth-first model of the signed-permutation group.  There are five
+exceptions.  The two-step divided difference ``oracle_demazure``
+borrows only ``act_gen``: it divides with ``exact_div_linear`` below,
+by synthetic division, and not with the term-by-term kernel, which it
+checks.  The brute-force operator product ``oracle_nh_mul`` borrows the
 package's single-letter operators and polynomial arithmetic but does its
 own word expansion and group bookkeeping.  The dense invariant count
 ``oracle_invariant_dimension`` borrows ``act_gen`` and
@@ -16,7 +17,10 @@ package's own operators along ``some_reduced_word`` (smallest descent
 first), so they check that neither the largest-descent-first walk nor
 the ascending runs of ``schubert`` change a result;
 ``oracle_nh_mul_word`` also keeps its pieces rational, where ``nh_mul``
-clears denominators first, so it checks the clearing too.
+clears denominators first, so it checks the clearing too.  And
+``all_reduced_words`` strips right descents with the package's
+``compose`` and ``right_descents``, to list every reduced word of a
+small element.
 """
 
 import itertools
@@ -24,11 +28,12 @@ from fractions import Fraction
 
 import sympy
 
-from nilheckeb import (DX, ExtPoly, NHElement, OMEGA, SignedPerm, act_gen, demazure,
-                       demazure_word, exact_div_linear, some_reduced_word)
+from nilheckeb import (DX, ExtPoly, NHElement, OMEGA, SignedPerm, act_gen, compose, demazure,
+                       demazure_word, gen, some_reduced_word)
 from nilheckeb._kernels_py import accumulate
 from nilheckeb.linalg import span_rank
 from nilheckeb.nilhecke import _push_through
+from nilheckeb.weylb import right_descents
 
 
 def sy_vars(n):
@@ -69,6 +74,102 @@ def sy_demazure(i, expr, n):
         flipped = expr.subs(xs[n - 1], -xs[n - 1])
         quot = sympy.cancel((expr - flipped) / (2 * xs[n - 1]))
     return sympy.expand(quot)
+
+
+# -- exact division by a linear form -----------------------------------
+
+
+class DivisionError(ArithmeticError):
+    """Raised when an exact division leaves a nonzero remainder."""
+
+    def __init__(self, message, remainder=None):
+        super().__init__(message)
+        self.remainder = remainder
+
+
+def div_linear_terms(a, i, j):
+    """Divide a term dict by ``x_i - x_j`` (0-based slots ``i != j``).
+
+    Synthetic division in ``x_i`` about ``x_i = x_j``: per term,
+    ``x_i^k = (x_i - x_j) * sum_t x_i^t x_j^(k-1-t) + x_j^k``.
+    Returns ``(quotient, remainder)``; the remainder is free of ``x_i``.
+    """
+    quot = {}
+    rem = {}
+    for (e, m), c in a.items():
+        k = e[i]
+        base = list(e)
+        for t in range(k):
+            q = list(base)
+            q[i] = t
+            q[j] = e[j] + (k - 1 - t)
+            key = (tuple(q), m)
+            v = quot.get(key)
+            if v is None:
+                quot[key] = c
+            else:
+                v = v + c
+                if v:
+                    quot[key] = v
+                else:
+                    del quot[key]
+        r = list(base)
+        r[i] = 0
+        r[j] = e[j] + k
+        key = (tuple(r), m)
+        v = rem.get(key)
+        if v is None:
+            rem[key] = c
+        else:
+            v = v + c
+            if v:
+                rem[key] = v
+            else:
+                del rem[key]
+    return quot, rem
+
+
+def div_var_terms(a, i):
+    """Divide a term dict by the single variable ``x_i`` (0-based slot).
+
+    Returns ``(quotient, remainder)`` where the remainder collects the
+    terms with ``x_i``-exponent zero, untouched.
+    """
+    quot = {}
+    rem = {}
+    for (e, m), c in a.items():
+        if e[i] == 0:
+            rem[(e, m)] = c
+        else:
+            q = list(e)
+            q[i] -= 1
+            quot[(tuple(q), m)] = c
+    return quot, rem
+
+
+def exact_div_linear(f, i, j=None):
+    """Divide f exactly by x_i - x_j (i < j), or by x_i when j is None.
+
+    Indices are 1-based; DivisionError, carrying the remainder, if the
+    form does not divide f.
+    """
+    n = f.nvars
+    if j is None:
+        if not 1 <= i <= n:
+            raise ValueError(f"variable index {i} out of range 1..{n}")
+        quot, rem = div_var_terms(f.terms, i - 1)
+        form = f"x{i}"
+    else:
+        if not 1 <= i < j <= n:
+            raise ValueError(f"need indices 1 <= i < j <= {n}, got {i}, {j}")
+        quot, rem = div_linear_terms(f.terms, i - 1, j - 1)
+        form = f"x{i} - x{j}"
+    if rem:
+        raise DivisionError(
+            f"{form} does not divide exactly",
+            remainder=ExtPoly(f.nvars, f.family, rem),
+        )
+    return ExtPoly(f.nvars, f.family, quot)
 
 
 def oracle_demazure(i, f):
@@ -152,6 +253,17 @@ def oracle_invariant_dimension(n, a, b):
     ]
     moved = [act_gen(i, f) - f for i in range(1, n + 1) for f in monos]
     return len(monos) - span_rank(moved)
+
+
+def all_reduced_words(w):
+    """Every reduced word of w (exponential; meant for small ranks)."""
+    if w.is_identity():
+        return [()]
+    out = []
+    for i in right_descents(w):
+        for u in all_reduced_words(compose(w, gen(i, w.n))):
+            out.append(u + (i,))
+    return out
 
 
 # -- plain-tuple model of the group -------------------------------------

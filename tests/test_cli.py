@@ -81,6 +81,8 @@ def test_validation_failure_is_exit_one(capsys):
         (["verify", "--n", "2", "--trials", "0"], "nhb verify: --trials"),
         (["verify", "--n", "6", "--suite", "schur"], "nhb verify: the schur suite walks"),
         (["verify", "--n", "6", "--suite", "solomon"], "nhb verify: the solomon suite sums"),
+        (["verify", "--n", "6", "--suite", "nilhecke"], "nhb verify: the nilhecke suite draws"),
+        (["verify", "--n", "6", "--suite", "all"], "nhb verify: the nilhecke suite draws"),
         (["verify", "--n", "2", "--trials", "-3"], "nhb verify: --trials"),
     ]:
         start = time.perf_counter()

@@ -1,4 +1,5 @@
-"""Ring arithmetic, text and JSON round-trips, gradings, exact division."""
+"""Ring arithmetic, text and JSON round-trips, gradings, and the oracle's
+exact division."""
 
 import json
 import random
@@ -15,12 +16,10 @@ from nilheckeb import (
     DX,
     OMEGA,
     XDEG,
-    DivisionError,
     ExtPoly,
     act_gen,
     degree,
     demazure,
-    exact_div_linear,
     from_json,
     normalize_coeff,
     parse,
@@ -28,6 +27,7 @@ from nilheckeb import (
     render,
     to_json,
 )
+from reference import DivisionError, exact_div_linear
 
 
 def test_constructors():
@@ -193,6 +193,19 @@ def test_float_and_other_coefficients_are_rejected(bad):
         ExtPoly.from_terms(2, [(bad, (1, 0), ())])
     with pytest.raises(TypeError):
         from_json({"nvars": 2, "odd": OMEGA, "terms": [{"coeff": bad, "x": [1, 0], "odd": []}]})
+
+
+@pytest.mark.parametrize("x, odd", [
+    ([0.5, 0], []), ([1.0, 0], []), ([True, 0], []), (["1", 0], []),
+    ([1, 0], [1.0]), ([1, 0], [True]), ([1, 0], [3, 3]), ([1, 0], [0, 0]), ([1, 0], [1, 3]),
+], ids=["float", "integral-float", "bool", "text", "odd-float", "odd-bool",
+        "repeat-above-n", "repeat-below-1", "odd-above-n"])
+def test_bad_exponents_and_odd_indices_are_rejected(x, odd):
+    for coeff in (1, 0):
+        with pytest.raises(ValueError):
+            ExtPoly.from_terms(2, [(coeff, x, odd)])
+    with pytest.raises(ValueError):
+        from_json({"nvars": 2, "odd": OMEGA, "terms": [{"coeff": "1", "x": x, "odd": odd}]})
 
 
 @pytest.mark.parametrize("text", ["1/0", "12/0", "0/0"])

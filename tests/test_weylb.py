@@ -12,7 +12,6 @@ from nilheckeb import (
     act,
     act_gen,
     act_word,
-    all_reduced_words,
     compose,
     descent_walk,
     enumerate_group,
@@ -67,12 +66,21 @@ def test_group_arithmetic_against_windows():
 def test_reduced_words():
     n = 2
     w0 = longest_element(n)
-    words = all_reduced_words(w0)
+    words = reference.all_reduced_words(w0)
     assert len(words) == 2  # (1,2,1,2) and (2,1,2,1)
     assert all(is_reduced(word, n) and from_word(word, n) == w0 for word in words)
     assert not is_reduced((1, 1), n)
     assert some_reduced_word(identity(n)) == ()
     assert is_reduced(some_reduced_word(w0), n)
+
+
+def test_reduced_words_of_the_longest_element_at_rank_3():
+    # as many as the standard tableaux of the 3x3 square: 9!/(5*4*3*4*3*2*3*2*1)
+    n = 3
+    w0 = longest_element(n)
+    words = reference.all_reduced_words(w0)
+    assert len(words) == len(set(words)) == 42
+    assert all(is_reduced(word, n) and from_word(word, n) == w0 for word in words)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
