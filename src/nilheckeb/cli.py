@@ -221,24 +221,21 @@ def _cmd_solomon(ns):
 
 
 def _verify_suites(ns):
-    n, trials, seed = ns.n, ns.trials, ns.seed
-    picked = ns.suite
-    out = []
-    if picked in ("all", "weyl"):
-        out.append(weylb.verify_weyl(n, trials=trials, seed=seed))
-    if picked in ("all", "demazure"):
-        out.append(verify_nil_relations(n, trials=trials, seed=seed))
-    if picked in ("all", "nilhecke"):
-        out.append(nilhecke.verify_presentation(n, trials=trials, seed=seed))
-    if picked in ("all", "dg"):
-        for N in (2, 3, 4):
-            out.append(dgstruct.verify_dg(n, N, trials=trials, seed=seed))
-    if picked in ("all", "schur"):
-        out.append(schur.verify_schur(n, trials=trials, seed=seed))
-    if picked in ("all", "solomon"):
-        if n >= 2:
-            out.append(verify_solomon(n, trials=trials, seed=seed))
-    return out
+    n, kw = ns.n, {"trials": ns.trials, "seed": ns.seed}
+    suites = {
+        "weyl": lambda: [weylb.verify_weyl(n, **kw)],
+        "demazure": lambda: [verify_nil_relations(n, **kw)],
+        "nilhecke": lambda: [nilhecke.verify_presentation(n, **kw)],
+        "dg": lambda: [dgstruct.verify_dg(n, N, **kw) for N in (2, 3, 4)],
+        "schur": lambda: [schur.verify_schur(n, **kw)],
+        "solomon": lambda: [verify_solomon(n, **kw)] if n >= 2 else [],
+    }
+    picked = list(suites) if ns.suite == "all" else [ns.suite]
+    # schur and solomon refuse a rank above their cap before any work, so they run
+    # first; each suite seeds its own stream, and the reports keep the listed order
+    runs = sorted(picked, key=lambda name: name not in ("schur", "solomon"))
+    reports = {name: suites[name]() for name in runs}
+    return [r for name in picked for r in reports[name]]
 
 
 def _cmd_verify(ns):

@@ -133,9 +133,11 @@ class ExtPoly:
     def from_terms(cls, nvars, entries, family=OMEGA):
         """Build from ``(coeff, xexp, odd_seq)`` triples; odd order may be free.
 
-        An exponent or odd index that is not an ``int`` in range raises
-        ValueError; a repeated odd index makes its term zero.
+        A variable count, exponent or odd index that is not an ``int`` in
+        range raises ValueError; a repeated odd index makes its term zero.
         """
+        if type(nvars) is not int:
+            raise ValueError(f"bad variable count {nvars!r}")
         acc = {}
         for coeff, xexp, odd_seq in entries:
             c = normalize_coeff(coeff)

@@ -36,12 +36,12 @@ from .weylb import (
     SignedPerm,
     act_gen,
     descent_walk,
-    enumerate_group,
     from_word,
     identity,
     is_reduced,
     left_ascent,
     length,
+    random_element,
     some_reduced_word,
 )
 
@@ -360,12 +360,12 @@ def _relation_pairs(n):
     return pairs
 
 
-def _random_nh(n, rng, group, max_terms=3):
+def _random_nh(n, rng, max_terms=3):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         e = tuple(rng.randint(0, 2) for _ in range(n))
         m = tuple(i for i in range(1, n + 1) if rng.random() < 0.3)
-        w = rng.choice(group)
+        w = random_element(n, rng)
         c = normalize_coeff(Fraction(rng.choice([c for c in range(-4, 5) if c]),
                                      rng.randint(1, 3)))
         key = (e, m, w.window)
@@ -374,13 +374,10 @@ def _random_nh(n, rng, group, max_terms=3):
 
 
 def verify_presentation(n, trials=25, seed=0):
-    """Element-level relations, action compatibility, faithfulness evidence."""
+    """Element-level relations, action compatibility, faithfulness evidence,
+    on random operators whose D_w come from ``weylb.random_element``."""
     rep = SuiteReport(f"nilhecke(n={n})")
     rng = random.Random(seed)
-    try:
-        group = enumerate_group(n)
-    except ValueError as err:
-        raise ValueError(f"the nilhecke suite draws from the group: {err}") from None
 
     pairs = _relation_pairs(n)
     bad = [name for name, lhs, rhs in pairs if lhs != rhs]
@@ -390,10 +387,10 @@ def verify_presentation(n, trials=25, seed=0):
         return random_poly(n, OMEGA, max_xdeg=3, max_terms=3, rng=rng)
 
     def rnd_nh():
-        return _random_nh(n, rng, group)
+        return _random_nh(n, rng)
 
     def rnd_small():
-        return _random_nh(n, rng, group, max_terms=2)
+        return _random_nh(n, rng, max_terms=2)
 
     rep.trials("relations agree under the action", trials,
                lambda f, pair: nh_act(pair[1], f) == nh_act(pair[2], f),

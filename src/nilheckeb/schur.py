@@ -23,8 +23,8 @@ from .demazure import demazure, demazure_w
 from .extpoly import OMEGA, XDEG, ExtPoly, degree, parse, random_poly
 from .report import SuiteReport
 from .weylb import (_MAX_GROUP_RANK, compose, enumerate_group, gen, identity, inverse,
-                    length, longest_element, right_descents, run_walk, spine,
-                    spine_above)
+                    length, longest_element, random_element, right_descents, run_walk,
+                    spine, spine_above)
 
 __all__ = [
     "default_invariant_gens",
@@ -36,7 +36,6 @@ __all__ = [
     "invariant_schur_basis",
     "decompose_schubert",
     "poincare",
-    "poincare_formula",
     "format_poincare",
     "verify_schur",
 ]
@@ -244,23 +243,17 @@ def invariant_schur_basis(n, k):
 
 
 def poincare(n):
-    """Length generating function of the group, as coefficient list."""
-    coeffs = [0] * (n * n + 1)
-    for w in enumerate_group(n):
-        coeffs[length(w)] += 1
-    return coeffs
+    """Length generating function of the group, as coefficient list.
 
-
-def poincare_formula(n):
-    """The product formula: prod_i (1 + q + ... + q^(2i-1))."""
+    The product formula prod_i (1 + q + ... + q^(2i-1)); ``verify_schur``
+    compares it with the number of elements of each length.  Each factor is
+    (1 - q^(2i)) / (1 - q): subtract the list shifted by 2i, then take
+    running sums, O(n^3) additions in all.
+    """
     out = [1]
     for i in range(1, n + 1):
-        block = [1] * (2 * i)
-        new = [0] * (len(out) + len(block) - 1)
-        for a, ca in enumerate(out):
-            for b, cb in enumerate(block):
-                new[a + b] += ca * cb
-        out = new
+        diff = (a - b for a, b in zip(out + [0] * (2 * i - 1), [0] * (2 * i) + out))
+        out = list(itertools.accumulate(diff))
     return out
 
 
@@ -327,10 +320,7 @@ def decompose_schubert(f):
         for w, schub in schuberts:
             lw = length(w)
             for beta, s in svals.items():
-                ds = degree(s, XDEG)
-                if ds is None:
-                    ds = 0  # only for the empty element, which cannot occur
-                for mono in _lambda_monomials(n, d - lw - ds, gens):
+                for mono in _lambda_monomials(n, d - lw - degree(s, XDEG), gens):
                     candidates.append((w, beta, mono, mono * s * schub))
         keys = sorted({k for *_, prod in candidates for k in prod.terms} | set(comp.terms))
         if not candidates:
@@ -371,9 +361,11 @@ def verify_schur(n, trials=10, seed=0):
     staircase, the one-column closed form, the product sign rule, the
     invariance, count and independence of the 2^n invariant Schur basis,
     the Schubert degrees and independence by the divided-difference walk,
-    the Poincare series, the decomposition round trip (n <= 2), one
-    Schubert polynomial against the walk, and the monomial Schubert
-    polynomial of every spine element against the chain from x^delta.
+    the walk's count of elements per length against ``poincare``, the
+    decomposition round trip (n <= 2), the Schubert polynomial of one
+    random element against the walk, and the monomial Schubert polynomial
+    of every spine element against the chain from x^delta.  The walk
+    visits all 2^n n! elements, so the suite stops at n = _MAX_GROUP_RANK.
     """
     if n > _MAX_GROUP_RANK:
         raise ValueError(f"the schur suite walks the group, capped at n = {_MAX_GROUP_RANK}")
@@ -413,15 +405,16 @@ def verify_schur(n, trials=10, seed=0):
             invariant and linalg.span_rank(list(basis.values())) == len(basis) == 2**n)
 
     # The last check compares one S_w with the walk; draw w now and keep its S_w on the way.
-    target = rng.choice(enumerate_group(n))
+    target = random_element(n, rng)
 
     # Independence, by induction on length: each S_w is homogeneous of degree l(w), and
     # d_i for a descent i of u sends a relation among the S_w of length l with c_u != 0
     # to one of length l - 1 with c_u on S_(u s_i), ending at S_e = 1, which is nonzero.
     # A descent lowers the length by one, so the walk holds two levels at a time, one
-    # per length from l(w0) = n^2 down to 0.
-    level, ok, reached, walked = {longest_element(n): staircase((), n)}, True, 1, None
+    # per length from l(w0) = n^2 down to 0, and counts the elements of each length.
+    level, ok, counts, walked = {longest_element(n): staircase((), n)}, True, [], None
     for _ in range(n * n + 1):
+        counts.append(len(level))
         below = {}
         for w, sw in level.items():
             if w == target:
@@ -436,13 +429,12 @@ def verify_schur(n, trials=10, seed=0):
                     ok = ok and d == below[v]
                 else:
                     below[v] = d
-        reached += len(below)
         last, level = level, below
-    ok = (ok and not level and reached == 2**n * math.factorial(n)
+    ok = (ok and not level and sum(counts) == 2**n * math.factorial(n)
           and last == {identity(n): ExtPoly.one(n)})
     rep.add("Schubert degrees and independence", ok)
 
-    rep.add("Poincare enumeration equals product formula", poincare(n) == poincare_formula(n))
+    rep.add("Poincare enumeration equals product formula", counts[::-1] == poincare(n))
 
     def round_trips(f):
         parts = decompose_schubert(f)

@@ -43,6 +43,7 @@ __all__ = [
     "longest_element",
     "longest_word",
     "enumerate_group",
+    "random_element",
     "act",
     "act_gen",
     "act_word",
@@ -351,6 +352,14 @@ def enumerate_group(n):
             out.append(SignedPerm(tuple(s * p for s, p in zip(signs, perm))))
     out.sort(key=lambda w: w.window)
     return out
+
+
+def random_element(n, rng):
+    """A uniformly random element: a shuffle of 1..n and n sign bits."""
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    signs = rng.getrandbits(n)
+    return SignedPerm(-v if signs >> j & 1 else v for j, v in enumerate(perm))
 
 
 # -- the twisted action -------------------------------------------------

@@ -3,24 +3,24 @@
 Everything here is written from scratch on sympy and plain tuples: a
 symbolic divided difference for even polynomials, exact division by a
 linear form, the closed form of the solved images J(w_j), and a
-breadth-first model of the signed-permutation group.  There are five
-exceptions.  The two-step divided difference ``oracle_demazure``
-borrows only ``act_gen``: it divides with ``exact_div_linear`` below,
-by synthetic division, and not with the term-by-term kernel, which it
-checks.  The brute-force operator product ``oracle_nh_mul`` borrows the
-package's single-letter operators and polynomial arithmetic but does its
-own word expansion and group bookkeeping.  The dense invariant count
-``oracle_invariant_dimension`` borrows ``act_gen`` and
-``linalg.span_rank`` but not Molien's formula, which it checks.  The
-word oracles ``oracle_demazure_w`` and ``oracle_nh_mul_word`` run the
-package's own operators along ``some_reduced_word`` (smallest descent
-first), so they check that neither the largest-descent-first walk nor
-the ascending runs of ``schubert`` change a result;
-``oracle_nh_mul_word`` also keeps its pieces rational, where ``nh_mul``
-clears denominators first, so it checks the clearing too.  And
-``all_reduced_words`` strips right descents with the package's
-``compose`` and ``right_descents``, to list every reduced word of a
-small element.
+breadth-first model of the signed-permutation group with its signed
+cycle types.  There are five exceptions.  The two-step divided
+difference ``oracle_demazure`` borrows only ``act_gen``: it divides with
+``exact_div_linear`` below, by synthetic division, and not with the
+term-by-term kernel, which it checks.  The brute-force operator product
+``oracle_nh_mul`` borrows the package's single-letter operators and
+polynomial arithmetic but does its own word expansion and group
+bookkeeping.  The dense invariant count ``oracle_invariant_dimension``
+borrows ``act_gen`` and ``linalg.span_rank`` but not Molien's formula,
+which it checks.  The word oracles ``oracle_demazure_w`` and
+``oracle_nh_mul_word`` run the package's own operators along
+``some_reduced_word`` (smallest descent first), so they check that
+neither the largest-descent-first walk nor the ascending runs of
+``schubert`` change a result; ``oracle_nh_mul_word`` also keeps its
+pieces rational, where ``nh_mul`` clears denominators first, so it
+checks the clearing too.  And ``all_reduced_words`` strips right
+descents with the package's ``compose`` and ``right_descents``, to list
+every reduced word of a small element.
 """
 
 import itertools
@@ -312,6 +312,23 @@ def oracle_poincare(n):
     for d in dist.values():
         coeffs[d] += 1
     return coeffs
+
+
+def signed_cycle_type(w):
+    """The sorted (length, product of signs) of the cycles of the window w."""
+    seen = set()
+    out = []
+    for start in range(1, len(w) + 1):
+        if start in seen:
+            continue
+        k, sign, i = 0, 1, start
+        while i not in seen:
+            seen.add(i)
+            k += 1
+            sign = sign if w[i - 1] > 0 else -sign
+            i = abs(w[i - 1])
+        out.append((k, sign))
+    return tuple(sorted(out))
 
 
 def win_reduced_word(w, dist):

@@ -33,7 +33,6 @@ from nilheckeb import (
     p_matrix,
     pbw_well_formed,
     poincare,
-    poincare_formula,
     random_poly,
     render,
     schur_ext,
@@ -94,9 +93,7 @@ def test_criterion_2_admissible_matrix_and_transforms():
         ["0", "1", "-x3^2"],
         ["0", "0", "1"],
     ]
-    for i in range(1, 4):
-        for j in range(1, 4):
-            ok = ok and render(P[i, j]) == expected[i - 1][j - 1]
+    ok = ok and [[render(e) for e in row] for row in P.entries] == expected
     omega = [ExtPoly.odd(i, n) for i in range(1, n + 1)]
     Pw = P.mul_vector(omega)
     ok = ok and render(Pw[0]) == "w1 - x2^2*w2 - x3^2*w2 + x3^4*w3"
@@ -114,7 +111,6 @@ def test_criterion_3_relation_suites():
     ok = True
     n = 3
     rng = random.Random(0)
-    group = enumerate_group(n)
     gens = list(range(1, n + 1))
     diffs = {N: Differential(N, n) for N in (2, 3, 4)}
 
@@ -138,8 +134,8 @@ def test_criterion_3_relation_suites():
         ok = ok and demazure(i, f * g) == demazure(i, f) * g + act_gen(i, f) * demazure(i, g)
 
         # operator relations under the action
-        a = _random_nh(n, rng, group, max_terms=2)
-        b = _random_nh(n, rng, group, max_terms=2)
+        a = _random_nh(n, rng, max_terms=2)
+        b = _random_nh(n, rng, max_terms=2)
         ok = ok and nh_act(nh_mul(a, b), f) == nh_act(a, nh_act(b, f))
 
         # differentials: square zero and commutation, N in {2,3,4}
@@ -158,11 +154,10 @@ def test_criterion_4_pbw_and_faithfulness():
     ok = True
     n = 2
     rng = random.Random(1)
-    group = enumerate_group(n)
 
     for _ in range(50):
-        a = _random_nh(n, rng, group)
-        b = _random_nh(n, rng, group)
+        a = _random_nh(n, rng)
+        b = _random_nh(n, rng)
         f = random_poly(n, OMEGA, max_xdeg=3, max_terms=3, rng=rng)
         ok = ok and nh_act(nh_mul(a, b), f) == nh_act(a, nh_act(b, f))
 
@@ -185,7 +180,7 @@ def test_criterion_5_graded_ranks():
     t0 = time.perf_counter()
     ok = True
     for n in (1, 2, 3, 4):
-        ok = ok and poincare(n) == poincare_formula(n)
+        ok = ok and poincare(n) == reference.oracle_poincare(n)
 
     n = 2
     group = enumerate_group(n)
@@ -276,7 +271,7 @@ def test_criterion_8_scaling_surrogates():
             ok = ok and demazure(i, even) == want
 
     # graded ranks again at the largest desk rank
-    ok = ok and poincare(4) == poincare_formula(4)
+    ok = ok and poincare(4) == reference.oracle_poincare(4)
 
     # bidegree-wise dimension agreement for the invariant comparison
     ok = ok and all(solomon_compare(n).passed for n in (2, 3, 4))

@@ -229,6 +229,15 @@ def test_from_json_takes_integers_and_strings():
         from_json(text % (term % "0.5"))
 
 
+@pytest.mark.parametrize("nvars, x", [(True, [2]), (2.0, None)], ids=["bool", "float"])
+def test_from_json_rejects_a_variable_count_that_is_not_an_int(nvars, x):
+    terms = [] if x is None else [{"coeff": 1, "x": x, "odd": [1]}]
+    with pytest.raises(ValueError, match="bad variable count"):
+        from_json({"nvars": nvars, "odd": OMEGA, "terms": terms})
+    with pytest.raises(ValueError, match="bad variable count"):
+        ExtPoly.from_terms(nvars, [(c["coeff"], c["x"], c["odd"]) for c in terms])
+
+
 def _all_int(f):
     return all(type(c) is int for c in f.terms.values())
 

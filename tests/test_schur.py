@@ -1,6 +1,7 @@
 """Schur/Schubert values, the invariant basis, and graded ranks."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -24,7 +25,6 @@ from nilheckeb import (
     length,
     longest_element,
     poincare,
-    poincare_formula,
     random_poly,
     render,
     schubert,
@@ -172,10 +172,15 @@ def test_schubert_family_independent():
     assert rank(rows) == len(group)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_poincare_against_bfs_oracle(n):
     assert poincare(n) == reference.oracle_poincare(n)
-    assert poincare(n) == poincare_formula(n)
+
+
+def test_poincare_at_rank_eight():
+    coeffs = poincare(8)
+    assert len(coeffs) == 65 and coeffs == coeffs[::-1]
+    assert sum(coeffs) == 2**8 * math.factorial(8) == 10_321_920
 
 
 def test_poincare_text():

@@ -1,5 +1,6 @@
 """Exterior derivative, the admissible matrix, and J."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from nilheckeb import (
     default_admissible,
     default_invariant_gens,
     demazure_word,
+    enumerate_group,
     exterior_d,
     p_matrix,
     parse,
@@ -25,7 +27,7 @@ from nilheckeb import (
     verify_J,
     verify_solomon,
 )
-from nilheckeb.solomon import _invariant_dimensions
+from nilheckeb.solomon import _invariant_dimensions, _signed_classes
 
 
 def test_exterior_derivative():
@@ -99,23 +101,18 @@ def test_chain_on_default_tuple_gives_unit():
 
 
 def test_frozen_matrix_rank_two():
-    P = p_matrix(default_admissible(2))
-    assert render(P[1, 1]) == "1"
-    assert render(P[1, 2]) == "-x2^2"
-    assert render(P[2, 1]) == "0"
-    assert render(P[2, 2]) == "1"
+    P = p_matrix(default_admissible(2)).entries
+    assert [[render(e) for e in row] for row in P] == [["1", "-x2^2"], ["0", "1"]]
 
 
 def test_frozen_matrix_rank_three():
-    P = p_matrix(default_admissible(3))
+    P = p_matrix(default_admissible(3)).entries
     expected = [
         ["1", "-x2^2 - x3^2", "x3^4"],
         ["0", "1", "-x3^2"],
         ["0", "0", "1"],
     ]
-    for i in range(1, 4):
-        for j in range(1, 4):
-            assert render(P[i, j]) == expected[i - 1][j - 1]
+    assert [[render(e) for e in row] for row in P] == expected
 
 
 def test_frozen_omega_transform():
@@ -249,7 +246,13 @@ def test_molien_matches_the_dense_oracle(n, max_a):
     assert _invariant_dimensions(n, max_a) == want
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_class_sizes_match_the_enumerated_cycle_types(n):
+    counts = Counter(reference.signed_cycle_type(w.window) for w in enumerate_group(n))
+    assert _signed_classes(n) == counts
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_invariant_dimensions_match(n):
     rep = solomon_compare(n)
     assert rep.passed, str(rep)

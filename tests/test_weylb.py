@@ -1,6 +1,7 @@
 """Signed permutations against an independent breadth-first model."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,6 +10,7 @@ from nilheckeb import (
     DX,
     OMEGA,
     ExtPoly,
+    SignedPerm,
     act,
     act_gen,
     act_word,
@@ -25,6 +27,7 @@ from nilheckeb import (
     longest_element,
     longest_word,
     parse,
+    random_element,
     random_poly,
     run_walk,
     some_reduced_word,
@@ -189,6 +192,22 @@ def test_action_is_a_group_action():
         u, v = rng.choice(group), rng.choice(group)
         f = random_poly(n, OMEGA if rng.random() < 0.5 else DX, rng=rng)
         assert act(compose(u, v), f) == act(u, act(v, f))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_random_element_is_a_signed_permutation(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        w = random_element(n, rng)
+        assert type(w) is SignedPerm and w.n == n
+        assert sorted(abs(v) for v in w.window) == list(range(1, n + 1))
+
+
+def test_random_element_is_uniform_at_rank_two():
+    rng = random.Random(0)
+    counts = Counter(random_element(2, rng).window for _ in range(8000))
+    assert set(counts) == {w.window for w in enumerate_group(2)}
+    assert all(abs(c - 1000) <= 150 for c in counts.values()), counts
 
 
 @pytest.mark.parametrize("n", [2, 3])
