@@ -14,10 +14,14 @@ l(s_i t) = l(t) + 1 and zero otherwise.  ``nh_mul`` pushes the letters
 of a reduced word of u (``weylb.descent_walk``, largest descent first)
 through ``g * D_v`` one at a time, keeping the pieces keyed by the group
 element of their tail, and prunes a tail at the first letter that fails
-to lengthen it.  Both rules are linear over the rationals, so ``nh_mul``
-clears each operand of denominators once, works on ``int`` term dicts, and
-divides once at the end: it returns ``int``-first coefficients, also from
-operands that hold integral ``Fraction``s such as ``Fraction(2, 1)``.
+to lengthen it.  On polynomials s_i = id - alpha_i * D_i, with
+alpha_i = x_i - x_{i+1} and alpha_n = 2 x_n, so a g that D_i kills is
+s_i-invariant and slides past D_i unchanged, D_i * g = g * D_i: such a
+piece moves on with no s_i applied.  Both rules are linear over the
+rationals, so ``nh_mul`` clears each operand of denominators once, works
+on ``int`` term dicts, and divides once at the end: it returns
+``int``-first coefficients, also from operands that hold integral
+``Fraction``s such as ``Fraction(2, 1)``.
 """
 
 from __future__ import annotations
@@ -191,10 +195,16 @@ def _push_through(letters, pieces, n):
         D_i * D_t  =  D_{s_i t} if l(s_i t) = l(t) + 1, else 0,
 
     so a tail is dropped at the first letter that fails to lengthen it,
-    and s_i(poly) is computed only for tails that survive.  D_i(poly) is
-    written by ``_kernels_py.demazure_terms`` straight into the next
-    level's dict for t, with no intermediate polynomial; s_i(poly) comes
-    from ``weylb.act_gen``, the one implementation of s_i.  A tail whose
+    and s_i(poly) is needed only for tails that survive.  D_i(poly) is
+    written by ``_kernels_py.demazure_terms`` into a dict of its own.  On
+    polynomials s_i = id - alpha_i * D_i, so a poly that D_i kills is
+    s_i-invariant and slides past D_i unchanged: constants, symmetric
+    polynomials and the twisted invariants such as w_i - x_{i+1}^2 w_{i+1}
+    move to s_i t as they are, with no ``act_gen`` call.  Otherwise
+    s_i(poly) comes from ``weylb.act_gen``, the one implementation of
+    s_i.  A moved poly's dict is shared with the previous level, or with
+    ``pieces``, so two parts landing on one tail are merged by copying
+    (``add_terms``) and no dict is ever added into in place.  A tail whose
     poly cancels to zero is dropped.  Both rules only add and negate, so
     the ``int`` pieces that ``nh_mul`` passes in, cleared of denominators,
     stay ``int``; rational pieces work the same.
@@ -202,10 +212,13 @@ def _push_through(letters, pieces, n):
     for i in letters:
         new = {}
         for t, terms in pieces.items():
-            _k.demazure_terms(terms, i, n, new.setdefault(t, {}))
+            d = _k.demazure_terms(terms, i, n)
+            if d:
+                prev = new.get(t)
+                new[t] = d if prev is None else _k.add_terms(prev, d)
             st = left_ascent(i, t)
             if st is not None:
-                s = act_gen(i, ExtPoly(n, OMEGA, terms)).terms
+                s = act_gen(i, ExtPoly(n, OMEGA, terms)).terms if d else terms
                 prev = new.get(st)
                 new[st] = s if prev is None else _k.add_terms(prev, s)
         pieces = {t: terms for t, terms in new.items() if terms}
@@ -216,11 +229,12 @@ def nh_mul(a, b):
     """Product in PBW normal form.
 
     Each operand is cleared of denominators once
-    (``_kernels_py.clear_denominators``), so the push-through, with ∂_i
-    written in place and s_i from ``act_gen``, and the products of the
-    pieces run on ``int`` coefficients.  The result is divided once by the
-    two denominators: a coefficient is an ``int`` when integral, also when
-    an operand held integral ``Fraction``s.
+    (``_kernels_py.clear_denominators``), so the push-through and the
+    products of the pieces run on ``int`` coefficients.  In the
+    push-through a piece that ∂_i kills is s_i-invariant and slides past
+    D_i as it is; only the others take s_i from ``act_gen``.  The result
+    is divided once by the two denominators: a coefficient is an ``int``
+    when integral, also when an operand held integral ``Fraction``s.
     """
     a._check(b)
     n = a.nvars

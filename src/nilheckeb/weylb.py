@@ -22,7 +22,7 @@ import math
 import random
 
 from ._kernels_py import accumulate
-from .extpoly import DX, OMEGA, XDEG, ExtPoly, _normalize_mask, degree, random_poly
+from .extpoly import DX, OMEGA, XDEG, ExtPoly, degree, random_poly
 from .report import SuiteReport
 
 __all__ = [
@@ -365,38 +365,47 @@ def random_element(n, rng):
 # -- the twisted action -------------------------------------------------
 
 
+def _swap_dx(i, m):
+    """s_i on a dx mask (i < n): ``(sign, mask)`` with dx_i and dx_{i+1}
+    swapped.  The two indices are adjacent, so the mask stays sorted, and
+    only a mask holding both picks up the sign of their transposition."""
+    j = i + 1
+    if i in m:
+        return (-1, m) if j in m else (1, tuple(j if x == i else x for x in m))
+    return (1, tuple(i if x == j else x for x in m)) if j in m else (1, m)
+
+
 def act_gen(i, f):
-    """Apply the generator s_i to an extended polynomial."""
+    """Apply the generator s_i to an extended polynomial.
+
+    The part of s_i that maps terms to terms one to one is written in one
+    comprehension: the exponent swap for i < n, with the dx mask swap, or
+    the sign flip for i = n.  Only the twist terms of s_i(w_i) on the w
+    family can collide with other terms, so only they are accumulated.
+    """
     n = f.nvars
     if not 1 <= i <= n:
         raise ValueError(f"generator index {i} out of range 1..{n}")
-    out = {}
+    family, terms = f.family, f.terms
     if i == n:
-        for (e, m), c in f.terms.items():
-            sign = -1 if e[n - 1] % 2 else 1
-            if f.family == DX and n in m:
-                sign = -sign
-            accumulate(out, (e, m), c if sign > 0 else -c)
-        return ExtPoly(n, f.family, out)
+        s, dx = n - 1, family == DX
+        out = {(e, m): -c if (e[s] & 1) ^ (dx and n in m) else c
+               for (e, m), c in terms.items()}
+        return ExtPoly(n, family, out)
 
-    for (e, m), c in f.terms.items():
-        ee = list(e)
-        ee[i - 1], ee[i] = ee[i], ee[i - 1]
-        ee = tuple(ee)
-        if f.family == OMEGA:
-            accumulate(out, (ee, m), c)
-            if i in m and (i + 1) not in m:
-                shifted = tuple(sorted(x if x != i else i + 1 for x in m))
-                plus = list(ee)
-                plus[i - 1] += 2
-                minus = list(ee)
-                minus[i] += 2
-                accumulate(out, (tuple(plus), shifted), c)
-                accumulate(out, (tuple(minus), shifted), -c)
-        else:
-            sign, swapped = _normalize_mask(i + 1 if x == i else i if x == i + 1 else x for x in m)
-            accumulate(out, (ee, swapped), c if sign > 0 else -c)
-    return ExtPoly(n, f.family, out)
+    s, j = i - 1, i + 1
+    if family == DX:
+        out = {(e[:s] + (e[i], e[s]) + e[j:], mm): c if sign > 0 else -c
+               for (e, m), c in terms.items() for sign, mm in (_swap_dx(i, m),)}
+        return ExtPoly(n, family, out)
+    out = {(e[:s] + (e[i], e[s]) + e[j:], m): c for (e, m), c in terms.items()}
+    for (e, m), c in terms.items():
+        if i in m and j not in m:
+            shifted = tuple(j if x == i else x for x in m)
+            head, tail, a, b = e[:s], e[j:], e[i], e[s]
+            accumulate(out, (head + (a + 2, b) + tail, shifted), c)
+            accumulate(out, (head + (a, b + 2) + tail, shifted), -c)
+    return ExtPoly(n, family, out)
 
 
 def act_word(word, f):

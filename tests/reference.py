@@ -4,23 +4,27 @@ Everything here is written from scratch on sympy and plain tuples: a
 symbolic divided difference for even polynomials, exact division by a
 linear form, the closed form of the solved images J(w_j), and a
 breadth-first model of the signed-permutation group with its signed
-cycle types.  There are five exceptions.  The two-step divided
-difference ``oracle_demazure`` borrows only ``act_gen``: it divides with
-``exact_div_linear`` below, by synthetic division, and not with the
-term-by-term kernel, which it checks.  The brute-force operator product
-``oracle_nh_mul`` borrows the package's single-letter operators and
-polynomial arithmetic but does its own word expansion and group
-bookkeeping.  The dense invariant count ``oracle_invariant_dimension``
-borrows ``act_gen`` and ``linalg.span_rank`` but not Molien's formula,
-which it checks.  The word oracles ``oracle_demazure_w`` and
-``oracle_nh_mul_word`` run the package's own operators along
-``some_reduced_word`` (smallest descent first), so they check that
-neither the largest-descent-first walk nor the ascending runs of
-``schubert`` change a result; ``oracle_nh_mul_word`` also keeps its
-pieces rational, where ``nh_mul`` clears denominators first, so it
-checks the clearing too.  And ``all_reduced_words`` strips right
-descents with the package's ``compose`` and ``right_descents``, to list
-every reduced word of a small element.
+cycle types.  There are six exceptions.  The generator action
+``oracle_act_gen`` multiplies out the images of the generators with
+``ExtPoly.__mul__``, so it checks ``act_gen`` against the polynomial
+product.  The two-step divided difference ``oracle_demazure`` borrows
+only ``act_gen``: it divides with ``exact_div_linear`` below, by synthetic
+division, and not with the term-by-term kernel, which it checks.  The
+brute-force operator product ``oracle_nh_mul`` borrows the package's
+single-letter operators and polynomial arithmetic but does its own word
+expansion and group bookkeeping.  The dense invariant count
+``oracle_invariant_dimension`` borrows ``act_gen`` and
+``linalg.span_rank`` but not Molien's formula, which it checks.  The word
+oracles ``oracle_demazure_w`` and ``oracle_nh_mul_word`` run the
+package's own operators along ``some_reduced_word`` (smallest descent
+first), so they check that neither the largest-descent-first walk nor the
+ascending runs of ``schubert`` change a result; ``oracle_nh_mul_word``
+also keeps its pieces rational, where ``nh_mul`` clears denominators
+first, so it checks the clearing too.  It reuses ``nilhecke._push_through``
+itself, invariant slide included, so only ``oracle_nh_mul`` checks that
+slide independently.  And ``all_reduced_words`` strips right descents
+with the package's ``compose`` and ``right_descents``, to list every
+reduced word of a small element.
 """
 
 import itertools
@@ -172,6 +176,44 @@ def exact_div_linear(f, i, j=None):
     return ExtPoly(f.nvars, f.family, quot)
 
 
+def oracle_act_gen(i, f):
+    """s_i(f) as the ordered product of the generator images, term by term.
+
+    A term ``c * x^e * y_(m_1) * ... * y_(m_k)``, with y the odd family of
+    f, maps to ``c * prod_k s_i(x_k)^(e_k) * s_i(y_(m_1)) * ... *
+    s_i(y_(m_k))``, multiplied out left to right with ``ExtPoly.__mul__``.
+    The images: s_i swaps x_i and x_(i+1) for i < n and s_n negates x_n;
+    s_i(w_i) = w_i + (x_i^2 - x_(i+1)^2) w_(i+1) and s_i fixes every other
+    w_j; s_i swaps dx_i and dx_(i+1) and s_n negates dx_n.
+    """
+    n, fam = f.nvars, f.family
+
+    def x(k):
+        return ExtPoly.x(k, n, fam)
+
+    def y(k):
+        return ExtPoly.odd(k, n, fam)
+
+    if i < n:
+        x_img = {i: x(i + 1), i + 1: x(i)}
+        if fam == OMEGA:
+            y_img = {i: y(i) + (x(i) ** 2 - x(i + 1) ** 2) * y(i + 1)}
+        else:
+            y_img = {i: y(i + 1), i + 1: y(i)}
+    else:
+        x_img = {n: -x(n)}
+        y_img = {} if fam == OMEGA else {n: -y(n)}
+    out = ExtPoly.zero(n, fam)
+    for (e, m), c in f.terms.items():
+        term = ExtPoly.const(n, c, fam)
+        for k, p in enumerate(e, start=1):
+            term = term * x_img.get(k, x(k)) ** p
+        for k in m:
+            term = term * y_img.get(k, y(k))
+        out = out + term
+    return out
+
+
 def oracle_demazure(i, f):
     """(f - s_i f) divided exactly by x_i - x_(i+1), or by x_n and halved for i = n.
 
@@ -202,7 +244,10 @@ def oracle_nh_mul_word(a, b):
 
     The pieces keep their rational coefficients: nothing is cleared of
     denominators, so the oracle also checks that ``nh_mul``'s clearing and
-    final division change no result.
+    final division change no result.  The letters go through
+    ``nilhecke._push_through``, the same code as ``nh_mul``, so this oracle
+    is not independent of the push-through's invariant slide;
+    ``oracle_nh_mul`` is.
     """
     n = a.nvars
     out = {}

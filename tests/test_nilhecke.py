@@ -12,13 +12,16 @@ from hypothesis import strategies as st
 
 import reference
 from nilheckeb import (
+    ExtPoly,
     NHElement,
     OMEGA,
     SignedPerm,
     cli,
     demazure_w,
+    descent_walk,
     enumerate_group,
     from_word,
+    invariant_schur_basis,
     length,
     longest_element,
     nh_act,
@@ -26,12 +29,13 @@ from nilheckeb import (
     normalize_coeff,
     parse_nh,
     pbw_well_formed,
+    random_element,
     random_poly,
     render_nh,
     schubert,
     verify_presentation,
 )
-from nilheckeb.nilhecke import _detects_nonzero, _random_nh
+from nilheckeb.nilhecke import _detects_nonzero, _push_through, _random_nh
 
 
 def dee(i, n):
@@ -256,6 +260,73 @@ def test_long_operator_times_polynomial_matches_the_smallest_descent_word():
         a = NHElement.dee(rng.choice(long))
         b = NHElement.from_poly(random_poly(n, OMEGA, max_xdeg=3, max_terms=3, rng=rng))
         assert render_nh(nh_mul(a, b)) == render_nh(reference.oracle_nh_mul_word(a, b))
+
+
+def _invariants(i, n):
+    """s_i-invariant polynomials: a constant, and x_n^2 for i = n, or
+    x_i*x_(i+1) and w_i - x_(i+1)^2*w_(i+1) for i < n."""
+    x, w = ExtPoly.x, ExtPoly.odd
+    if i == n:
+        return [ExtPoly.const(n, 3), x(n, n) ** 2]
+    return [ExtPoly.const(n, 3), x(i, n) * x(i + 1, n),
+            w(i, n) - x(i + 1, n) ** 2 * w(i + 1, n)]
+
+
+def _times_dee(f, w):
+    """f * D_w, written down directly."""
+    return NHElement(f.nvars, {(e, m, w.window): c for (e, m), c in f.terms.items()})
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_invariant_pieces_match_brute_force_and_leave_operands_unchanged(n):
+    # b holds an s_i-invariant on the tail e and x_i, which D_i does not kill,
+    # next to another s_i-invariant on s_i.  Through the term D_(s_i) of a,
+    # the invariant on e slides onto s_i, where D_i(x_i) lands.  The terms
+    # D_u and x1*D_(u s_i) of a meet on the tail u s_i, and all three push
+    # through the same b, so a dict that one of them changed in place would
+    # show in the next.
+    rng = random.Random(40 + n)
+    everywhere = [f for i in range(1, n + 1) for f in _invariants(i, n)]
+    x1 = ExtPoly.x(1, n)
+    e = from_word((), n)
+    for _ in range(8):
+        i = rng.randint(1, n)
+        si = from_word((i,), n)
+        b = (_times_dee(rng.choice(_invariants(i, n)), e)
+             + _times_dee(rng.choice(_invariants(i, n)) + ExtPoly.x(i, n), si)
+             + _times_dee(rng.choice(everywhere), random_element(n, rng)))
+        u = random_element(n, rng)
+        while length(u * si) < length(u) or length(u) > 7:
+            u = random_element(n, rng)
+        a = NHElement.dee(si) + NHElement.dee(u) + _times_dee(x1, u * si)
+        before = dict(a.terms), dict(b.terms)
+        assert nh_mul(a, b) == reference.oracle_nh_mul(a, b)
+        assert (a.terms, b.terms) == before
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_push_through_leaves_its_pieces_unchanged(n):
+    rng = random.Random(50 + n)
+    everywhere = [f for i in range(1, n + 1) for f in _invariants(i, n)]
+    for _ in range(20):
+        pieces = {random_element(n, rng).window: rng.choice(everywhere).terms
+                  for _ in range(3)}
+        before = {t: dict(terms) for t, terms in pieces.items()}
+        _push_through(descent_walk(random_element(n, rng).window), pieces, n)
+        assert pieces == before
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_invariants_commute_with_long_operators_at_high_rank(n):
+    # ranks the brute-force oracle cannot reach: an invariant slides past
+    # every letter, so D_u * f = f * D_u
+    rng = random.Random(60 + n)
+    for _ in range(4):
+        d = NHElement.dee(random_element(n, rng))
+        c = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+        assert nh_mul(d, NHElement.from_poly(ExtPoly.const(n, c))) == c * d
+        _, f = rng.choice(invariant_schur_basis(n, rng.randint(0, n)))
+        assert nh_mul(d, NHElement.from_poly(f)) == NHElement.from_poly(f) * d
 
 
 GROUPS = {n: enumerate_group(n) for n in (2, 3)}

@@ -4,6 +4,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from nilheckeb import (
@@ -182,6 +184,41 @@ def test_action_on_differential_family():
     # the swap on a two-letter dx word carries the sign of the transposition
     assert act_gen(1, dx1 * dx2) == dx2 * dx1
     assert act_gen(1, dx1 * dx2) == -(dx1 * dx2)
+
+
+@st.composite
+def acted_polys(draw, n, i, family):
+    """Up to four terms; when i < n, maybe every mask holds i and not i + 1,
+    which brings in the twist of s_i(w_i)."""
+    mask = st.sets(st.integers(1, n))
+    if i < n and draw(st.booleans()):
+        mask = mask.map(lambda m: (m | {i}) - {i + 1})
+    term = st.tuples(
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        st.tuples(*[st.integers(0, 3)] * n),
+        mask.map(sorted),
+    )
+    return ExtPoly.from_terms(n, draw(st.lists(term, max_size=4)), family)
+
+
+@pytest.mark.parametrize("family", [OMEGA, DX])
+@pytest.mark.parametrize("n, i", [(n, i) for n in range(1, 6) for i in range(1, n + 1)])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_act_gen_is_the_product_of_the_generator_images(family, n, i, data):
+    f = data.draw(acted_polys(n, i, family))
+    assert act_gen(i, f) == reference.oracle_act_gen(i, f)
+
+
+@pytest.mark.parametrize("text, image", [
+    # the twist key x1^2*w2 of s_1(w1) meets the swapped key of -x2^2*w2 and
+    # cancels: w1 - x2^2*w2 is s_1-invariant
+    ("w1 - x2^2*w2", "w1 - x2^2*w2"),
+    ("w1 + x2^2*w2", "w1 + 2*x1^2*w2 - x2^2*w2"),
+])
+def test_act_gen_twist_meets_a_swapped_term(text, image):
+    f = parse(text, 2)
+    assert act_gen(1, f) == parse(image, 2) == reference.oracle_act_gen(1, f)
 
 
 def test_action_is_a_group_action():
