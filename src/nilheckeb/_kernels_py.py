@@ -7,10 +7,9 @@ increasing tuple of 1-based odd-generator indices.  A coefficient is an
 ``int`` when integral, else a ``Fraction``; the kernels only add, subtract
 and multiply, so they keep whatever type they are given.  Coefficients are
 kept nonzero, and no function mutates its inputs.  Every function returns
-a fresh dict, except that ``demazure_terms`` adds into the dict ``out`` when
-it is given one; ``accumulate`` adds one term in place.  ``demazure_terms``
-also only adds and negates: it writes a divided difference term by term,
-with no division.
+a fresh dict, except that ``accumulate`` adds one term in place.
+``demazure_terms`` only adds and negates: it writes a divided difference
+term by term, with no division.
 
 Every kernel is linear over the rationals, so a computation can run on
 ``int`` coefficients alone: ``clear_denominators`` scales a dict by the lcm
@@ -143,11 +142,8 @@ def mul_terms(a, b):
     return out
 
 
-def demazure_terms(terms, i, n, out=None):
+def demazure_terms(terms, i, n):
     """The divided difference ∂_i of a w-family term dict (1-based ``i``).
-
-    The result is added into ``out`` when a dict is given, and ``out`` is
-    returned; otherwise into a fresh dict.
 
     Per term ``c * x^e * w^m``, for ``i < n`` with ``a = e_i``, ``b = e_{i+1}``:
 
@@ -164,14 +160,8 @@ def demazure_terms(terms, i, n, out=None):
     """
     if i == n:
         s = n - 1
-        quot = {(e[:s] + (e[s] - 1,), m): c for (e, m), c in terms.items() if e[s] & 1}
-        if out is None:
-            return quot
-        for key, c in quot.items():
-            accumulate(out, key, c)
-        return out
-    if out is None:
-        out = {}
+        return {(e[:s] + (e[s] - 1,), m): c for (e, m), c in terms.items() if e[s] & 1}
+    out = {}
     get = out.get
     s, r, j = i - 1, i, i + 1
     for (e, m), c in terms.items():

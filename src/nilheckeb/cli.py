@@ -231,9 +231,9 @@ def _verify_suites(ns):
         "solomon": lambda: [verify_solomon(n, **kw)] if n >= 2 else [],
     }
     picked = list(suites) if ns.suite == "all" else [ns.suite]
-    # schur and solomon refuse a rank above their cap before any work, so they run
-    # first; each suite seeds its own stream, and the reports keep the listed order
-    runs = sorted(picked, key=lambda name: name not in ("schur", "solomon"))
+    # schur refuses a rank above its cap before any work, so it runs first; each
+    # suite seeds its own stream, and the reports keep the listed order
+    runs = sorted(picked, key=lambda name: name != "schur")
     reports = {name: suites[name]() for name in runs}
     return [r for name in picked for r in reports[name]]
 

@@ -1,4 +1,4 @@
-"""Laws of the term kernels (odd signs, adding in place, clearing
+"""Laws of the term kernels (odd signs, the divided difference, clearing
 denominators) and of the oracle's division kernels."""
 
 import random
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import reference
 from nilheckeb import _kernels_py as kern
-from nilheckeb import normalize_coeff
+from nilheckeb import OMEGA, ExtPoly, normalize_coeff
 
 
 def random_terms(rng, n, nterms, with_mask=True):
@@ -91,24 +91,15 @@ def term_dicts(n):
 
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.booleans())
-def test_demazure_terms_adds_into_the_dict_it_is_given(data, sign_operator):
+def test_demazure_terms_leaves_its_input_unchanged(data, sign_operator):
     n = data.draw(st.integers(1 if sign_operator else 2, 4))
     i = n if sign_operator else data.draw(st.integers(1, n - 1))
     terms = data.draw(term_dicts(n))
-    fresh = kern.demazure_terms(terms, i, n)
-    # prior shares some keys with the result, and cancels some of them
-    prior = data.draw(term_dicts(n))
-    for k, c in fresh.items():
-        how = data.draw(st.sampled_from(("absent", "cancel", "share")))
-        if how == "cancel":
-            prior[k] = -c
-        elif how == "share":
-            prior[k] = data.draw(COEFFS)
     snapshot = dict(terms)
-    out = dict(prior)
-    assert kern.demazure_terms(terms, i, n, out) is out
-    assert out == kern.add_terms(prior, fresh)
+    out = kern.demazure_terms(terms, i, n)
+    assert out is not terms
     assert terms == snapshot
+    assert ExtPoly(n, OMEGA, out) == reference.oracle_demazure(i, ExtPoly(n, OMEGA, terms))
 
 
 @settings(max_examples=150, deadline=None)

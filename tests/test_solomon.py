@@ -1,5 +1,6 @@
 """Exterior derivative, the admissible matrix, and J."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import reference
 from nilheckeb import (
     DX,
     ExtPoly,
+    JMap,
     act_gen,
     build_J,
     chain_word,
@@ -19,6 +21,8 @@ from nilheckeb import (
     demazure_word,
     enumerate_group,
     exterior_d,
+    invariant_schur_basis,
+    linalg,
     p_matrix,
     parse,
     render,
@@ -27,7 +31,10 @@ from nilheckeb import (
     verify_J,
     verify_solomon,
 )
+from nilheckeb import solomon
 from nilheckeb.solomon import _invariant_dimensions, _signed_classes
+
+INDEPENDENT = "images of the invariant basis stay independent"
 
 
 def test_exterior_derivative():
@@ -259,7 +266,43 @@ def test_invariant_dimensions_match(n):
     assert len(rep.checks) == 7 * (n + 1)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_images_are_wedges_of_the_one_column_images(n):
+    # the certificate's premise, and the dense rank over all 2^n images it replaces
+    J = build_J(n=n)
+    theta = {beta: J.apply(s) for (beta,), s in invariant_schur_basis(n, 1)}
+    images = []
+    for k in range(n + 1):
+        for beta, s in invariant_schur_basis(n, k):
+            images.append(J.apply(s))
+            assert images[-1] == math.prod((theta[i] for i in beta), start=ExtPoly.one(n, DX))
+    assert linalg.span_rank(images) == len(images) == 2**n
+    assert {c.check: c.passed for c in verify_J(n, trials=2).checks}[INDEPENDENT]
+
+
+def _patch_images(monkeypatch, change):
+    """Make solomon.build_J return ``change`` of the solved images."""
+    def patched(*args, **kwargs):
+        J = build_J(*args, **kwargs)
+        return JMap(change(J.images), J.nvars)
+    monkeypatch.setattr(solomon, "build_J", patched)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_repeated_image_fails_the_independence_check(monkeypatch, n):
+    _patch_images(monkeypatch, lambda images: [images[0], images[0], *images[2:]])
+    assert not {c.check: c.passed for c in verify_J(n, trials=2).checks}[INDEPENDENT]
+    assert not verify_solomon(n, trials=2).passed
+
+
+@pytest.mark.parametrize("extra", ["x1", "dx1*dx2"])
+def test_an_image_term_without_one_dx_letter_fails_the_independence_check(monkeypatch, extra):
+    n = 3
+    _patch_images(monkeypatch, lambda images: [images[0] + parse(extra, n, DX), *images[1:]])
+    assert not {c.check: c.passed for c in verify_J(n, trials=2).checks}[INDEPENDENT]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_suite_green(n):
     rep = verify_solomon(n, trials=6, seed=0)
     assert rep.passed, str(rep)
