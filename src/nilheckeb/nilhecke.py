@@ -10,11 +10,13 @@ of the twisted Leibniz rule,
     D_i * g  =  D_i(g)  +  s_i(g) * D_i,
 
 and pure D-words compose by the nil law, D_i * D_t = D_{s_i t} when
-l(s_i t) = l(t) + 1 and zero otherwise.  ``nh_mul`` pushes the letters
-of a reduced word of u (``weylb.descent_walk``, largest descent first)
-through ``g * D_v`` one at a time, keeping the pieces keyed by the group
-element of their tail, and prunes a tail at the first letter that fails
-to lengthen it.  On polynomials s_i = id - alpha_i * D_i, with
+l(s_i t) = l(t) + 1 and zero otherwise.  Since (s_i t)^-1 = t^-1 s_i,
+that is a right step on t^-1: it lengthens t^-1 exactly when i is not a
+right descent of t^-1.  ``nh_mul`` pushes the letters of a reduced word
+of u (``weylb.descent_walk``, largest descent first) through ``g * D_v``
+one at a time, keeping the pieces keyed by the window of the inverse of
+their tail, and prunes a tail at the first letter that fails to lengthen
+it.  On polynomials s_i = id - alpha_i * D_i, with
 alpha_i = x_i - x_{i+1} and alpha_n = 2 x_n, so a g that D_i kills is
 s_i-invariant and slides past D_i unchanged, D_i * g = g * D_i: such a
 piece moves on with no s_i applied.  Both rules are linear over the
@@ -36,18 +38,8 @@ from .extpoly import (OMEGA, ExtPoly, join_terms, monomial_factors, normalize_co
                       parse_term, random_poly, split_terms)
 from .report import SuiteReport
 from .schur import schubert
-from .weylb import (
-    SignedPerm,
-    act_gen,
-    descent_walk,
-    from_word,
-    identity,
-    is_reduced,
-    left_ascent,
-    length,
-    random_element,
-    some_reduced_word,
-)
+from .weylb import (SignedPerm, _descends, _inverse_window, act_gen, descent_walk, from_word,
+                    identity, is_reduced, length, random_element, some_reduced_word)
 
 __all__ = [
     "NHElement",
@@ -187,16 +179,19 @@ def _push_through(letters, pieces, n):
     """Rewrite D_u * sum(poly * D_t) as a sum of poly * D_t.
 
     ``letters`` is a reduced word of u, rightmost letter first, and
-    ``pieces`` maps the window of t to the term dict of its poly; they are
-    not mutated.  Each letter acts by the twisted Leibniz rule and the nil
-    law,
+    ``pieces`` maps the window of t^-1 to the term dict of its poly; they
+    are not mutated, and the result is keyed the same way.  Each letter
+    acts by the twisted Leibniz rule and the nil law,
 
         D_i * poly * D_t  =  D_i(poly) * D_t  +  s_i(poly) * D_i * D_t,
-        D_i * D_t  =  D_{s_i t} if l(s_i t) = l(t) + 1, else 0,
+        D_i * D_t  =  D_{s_i t} if l(s_i t) = l(t) + 1, else 0.
 
-    so a tail is dropped at the first letter that fails to lengthen it,
-    and s_i(poly) is needed only for tails that survive.  D_i(poly) is
-    written by ``_kernels_py.demazure_terms`` into a dict of its own.  On
+    On the key the nil law is a right step, (s_i t)^-1 = t^-1 s_i: it
+    swaps the entries at i, i + 1 unless they descend (i < n), or negates
+    the last entry unless it is negative (i = n).  So a tail is dropped at
+    the first letter that fails to lengthen it, and s_i(poly) is needed
+    only for tails that survive.  D_i(poly) is written by
+    ``_kernels_py.demazure_terms`` into a dict of its own.  On
     polynomials s_i = id - alpha_i * D_i, so a poly that D_i kills is
     s_i-invariant and slides past D_i unchanged: constants, symmetric
     polynomials and the twisted invariants such as w_i - x_{i+1}^2 w_{i+1}
@@ -211,17 +206,21 @@ def _push_through(letters, pieces, n):
     """
     for i in letters:
         new = {}
-        for t, terms in pieces.items():
+        for k, terms in pieces.items():
             d = _k.demazure_terms(terms, i, n)
             if d:
-                prev = new.get(t)
-                new[t] = d if prev is None else _k.add_terms(prev, d)
-            st = left_ascent(i, t)
-            if st is not None:
+                prev = new.get(k)
+                new[k] = d if prev is None else _k.add_terms(prev, d)
+            if i < n:
+                a, b = k[i - 1], k[i]
+                sk = None if _descends(a, b) else k[:i - 1] + (b, a) + k[i + 1:]
+            else:
+                sk = None if k[-1] < 0 else k[:-1] + (-k[-1],)
+            if sk is not None:
                 s = act_gen(i, ExtPoly(n, OMEGA, terms)).terms if d else terms
-                prev = new.get(st)
-                new[st] = s if prev is None else _k.add_terms(prev, s)
-        pieces = {t: terms for t, terms in new.items() if terms}
+                prev = new.get(sk)
+                new[sk] = s if prev is None else _k.add_terms(prev, s)
+        pieces = {k: terms for k, terms in new.items() if terms}
     return pieces
 
 
@@ -230,24 +229,27 @@ def nh_mul(a, b):
 
     Each operand is cleared of denominators once
     (``_kernels_py.clear_denominators``), so the push-through and the
-    products of the pieces run on ``int`` coefficients.  In the
-    push-through a piece that ∂_i kills is s_i-invariant and slides past
-    D_i as it is; only the others take s_i from ``act_gen``.  The result
-    is divided once by the two denominators: a coefficient is an ``int``
-    when integral, also when an operand held integral ``Fraction``s.
+    products of the pieces run on ``int`` coefficients.  The push-through
+    keys each tail t by t^-1, so b's windows are inverted on entry and
+    each distinct tail of the result at the end.  A piece that ∂_i kills
+    is s_i-invariant and slides past D_i as it is; only the others take
+    s_i from ``act_gen``.  The result is divided once by the two
+    denominators: a coefficient is an ``int`` when integral, also when an
+    operand held integral ``Fraction``s.
     """
     a._check(b)
     n = a.nvars
     da, ta = _k.clear_denominators(a.terms)
     db, tb = _k.clear_denominators(b.terms)
-    parts_b = _split(tb)
+    parts_b = {_inverse_window(t): terms for t, terms in _split(tb).items()}
     by_tail = {}
     for wa, mono in _split(ta).items():
-        for t, terms in _push_through(descent_walk(wa), parts_b, n).items():
+        for k, terms in _push_through(descent_walk(wa), parts_b, n).items():
             prod = _k.mul_terms(mono, terms)
-            prev = by_tail.get(t)
-            by_tail[t] = prod if prev is None else _k.add_terms(prev, prod)
-    out = {(e, m, t): c for t, terms in by_tail.items() for (e, m), c in terms.items()}
+            prev = by_tail.get(k)
+            by_tail[k] = prod if prev is None else _k.add_terms(prev, prod)
+    out = {(e, m, t): c for k, terms in by_tail.items() for t in (_inverse_window(k),)
+           for (e, m), c in terms.items()}
     return NHElement(n, _k.divide_terms(out, da * db))
 
 
@@ -387,9 +389,16 @@ def _random_nh(n, rng, max_terms=3):
     return NHElement(n, {k: v for k, v in terms.items() if v})
 
 
+# n = 7 held 902 MB past a 120 s timeout; n >= 8 ran out of memory in a product
+_MAX_SUITE_RANK = 6
+
+
 def verify_presentation(n, trials=25, seed=0):
     """Element-level relations, action compatibility, faithfulness evidence,
-    on random operators whose D_w come from ``weylb.random_element``."""
+    on random operators whose D_w come from ``weylb.random_element``;
+    n > _MAX_SUITE_RANK is refused before any work."""
+    if n > _MAX_SUITE_RANK:
+        raise ValueError(f"the nilhecke suite's random products are capped at n = {_MAX_SUITE_RANK}")
     rep = SuiteReport(f"nilhecke(n={n})")
     rng = random.Random(seed)
 

@@ -378,11 +378,16 @@ def verify_J(n, fgens=None, p=None, trials=8, seed=0):
     and fixes even invariants, and each s_k is a ring map, so invariant
     theta_i make every image of an invariant invariant.
     """
-    rep = SuiteReport(f"J(n={n})")
-    rng = random.Random(seed)
     if fgens is None:
         fgens = default_invariant_gens(n)
-    J = build_J(fgens, p, n)
+    return _verify_built_J(build_J(fgens, p, n), fgens, trials, seed)
+
+
+def _verify_built_J(J, fgens, trials, seed):
+    """The checks of ``verify_J`` on a J already built from ``fgens``."""
+    n = J.nvars
+    rep = SuiteReport(f"J(n={n})")
+    rng = random.Random(seed)
     xf = lambda i: ExtPoly.x(i, n, DX)
 
     rep.add("generator images are bihomogeneous of the right degrees", _images_bihomogeneous(J))
@@ -538,7 +543,8 @@ def verify_solomon(n, trials=8, seed=0):
     theta = [ExtPoly.odd(i + 1, n) for i in range(n)]
     rep.add("characterization two on the generator column", check_char2(P, theta).passed)
 
-    J = build_J(n=n)
+    fgens = default_invariant_gens(n)
+    J = build_J(fgens, n=n)
     theta_dx = [J.of_generator(i) for i in range(1, n + 1)]
     rep.add("characterization two on the solved images", check_char2(P, theta_dx).passed)
 
@@ -554,7 +560,7 @@ def verify_solomon(n, trials=8, seed=0):
         and checks["no two conditions hold without the third"],
     )
 
-    rep.add("equivariance suite", verify_J(n, trials=trials, seed=seed).passed)
+    rep.add("equivariance suite", _verify_built_J(J, fgens, trials, seed).passed)
 
     rep.add("invariant dimensions match the generator picture", solomon_compare(n).passed)
 

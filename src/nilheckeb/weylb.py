@@ -13,6 +13,10 @@ and twists the odd generators:
 * ``s_n`` fixes every ``w_j``;
 * on the dx family, ``s_i`` permutes ``dx_i, dx_{i+1}`` and ``s_n``
   negates ``dx_n``.
+
+The one descent test is ``_descends``: w s_i is longer than w exactly
+when i is not a right descent.  Words step one window in place
+(``_step``); the nilHecke push-through keys each tail t by t^-1.
 """
 
 from __future__ import annotations
@@ -26,28 +30,10 @@ from .extpoly import DX, OMEGA, XDEG, ExtPoly, degree, random_poly
 from .report import SuiteReport
 
 __all__ = [
-    "SignedPerm",
-    "identity",
-    "gen",
-    "from_word",
-    "compose",
-    "inverse",
-    "length",
-    "left_ascent",
-    "descent_walk",
-    "run_walk",
-    "spine",
-    "spine_above",
-    "some_reduced_word",
-    "is_reduced",
-    "longest_element",
-    "longest_word",
-    "enumerate_group",
-    "random_element",
-    "act",
-    "act_gen",
-    "act_word",
-    "verify_weyl",
+    "SignedPerm", "identity", "gen", "from_word", "compose", "inverse", "length",
+    "descent_walk", "run_walk", "spine", "spine_above", "some_reduced_word", "is_reduced",
+    "longest_element", "longest_word", "enumerate_group", "random_element", "act", "act_gen",
+    "act_word", "verify_weyl",
 ]
 
 
@@ -94,14 +80,7 @@ def identity(n):
 
 def gen(i, n):
     """The generator s_i: adjacent swap for i < n, last-sign change for i = n."""
-    if not 1 <= i <= n:
-        raise ValueError(f"generator index {i} out of range 1..{n}")
-    win = list(range(1, n + 1))
-    if i < n:
-        win[i - 1], win[i] = win[i], win[i - 1]
-    else:
-        win[n - 1] = -n
-    return SignedPerm(win)
+    return from_word((i,), n)
 
 
 def compose(u, v):
@@ -111,45 +90,60 @@ def compose(u, v):
     return SignedPerm(tuple(u.apply(v.window[j]) for j in range(u.n)))
 
 
+def _inverse_window(window):
+    """The window of the inverse, as a tuple: w(j) = v gives w^-1(|v|) = sign(v) j."""
+    out = [0] * len(window)
+    for j, v in enumerate(window, start=1):
+        out[abs(v) - 1] = j if v > 0 else -j
+    return tuple(out)
+
+
 def inverse(w):
-    win = [0] * w.n
-    for j, v in enumerate(w.window, start=1):
-        win[abs(v) - 1] = j if v > 0 else -j
-    return SignedPerm(win)
+    return SignedPerm(_inverse_window(w.window))
 
 
 def from_word(word, n):
-    w = identity(n)
+    """The product of the word's generators, left to right, stepped in one window."""
+    win = list(range(1, n + 1))
     for i in word:
-        w = compose(w, gen(i, n))
-    return w
+        _step(win, i)
+    return SignedPerm(win)
 
 
 def length(w):
     """Coxeter length: positive roots sent to negative roots.
 
-    Roots are e_i, e_i - e_j and e_i + e_j (i < j); the window maps
-    e_i to sign(w(i)) * e_{|w(i)|}.
+    Roots are e_i, e_i - e_j and e_i + e_j (i < j); the window maps e_i to
+    sign(w(i)) e_|w(i)|.  e_i goes negative when w(i) < 0.  When
+    |w(i)| > |w(j)|, one of e_i - e_j and e_i + e_j goes negative;
+    otherwise both do when w(i) < 0 and neither does when w(i) > 0.
     """
     win = w.window
-    n = w.n
-    count = 0
-    for i in range(n):
-        if win[i] < 0:
-            count += 1
-        pi, ci = abs(win[i]), (1 if win[i] > 0 else -1)
-        for j in range(i + 1, n):
-            pj, cj = abs(win[j]), (1 if win[j] > 0 else -1)
-            for s in (1, -1):
-                lead = ci if pi < pj else s * cj
-                if lead < 0:
-                    count += 1
+    count = sum(v < 0 for v in win)
+    for i, v in enumerate(win):
+        a = abs(v)
+        for u in win[i + 1:]:
+            count += 1 if a > abs(u) else 2 * (v < 0)
     return count
 
 
 def _descends(a, b):
     """Whether the adjacent window entries a, b make a right descent."""
     return (a < 0 and b > 0) or (a * b > 0 and a > b)
+
+
+def _step(win, i):
+    """Right-multiply the window list ``win`` by s_i in place; return
+    whether the length grew, that is whether i was not a right descent."""
+    n = len(win)
+    if not 1 <= i <= n:
+        raise ValueError(f"generator index {i} out of range 1..{n}")
+    if i == n:
+        win[-1] = -win[-1]
+        return win[-1] < 0
+    a, b = win[i - 1], win[i]
+    win[i - 1], win[i] = b, a
+    return not _descends(a, b)
 
 
 def right_descents(w):
@@ -284,46 +278,31 @@ def spine_above(w):
     return s * (2 * n - s) + r
 
 
-def left_ascent(i, window):
-    """The window of s_i t when l(s_i t) = l(t) + 1, else None.
-
-    s_i t is longer exactly when t^-1 sends the simple root of s_i to a
-    positive root: for i < n, when the first of the entries +-i, +-(i+1)
-    in the window is +i or -(i+1); for i = n, when +n is in the window.
-    s_i t swaps the values i and i + 1, keeping their signs, or negates n.
-    """
-    n = len(window)
-    if i == n:
-        return tuple(-n if v == n else v for v in window) if n in window else None
-    j = i + 1
-    p = window.index(i) if i in window else window.index(-i)
-    q = window.index(j) if j in window else window.index(-j)
-    if window[min(p, q)] not in (i, -j):
-        return None
-    out = list(window)
-    out[p] = j if window[p] > 0 else -j
-    out[q] = i if window[q] > 0 else -i
-    return tuple(out)
-
-
 def some_reduced_word(w):
-    """A reduced word via descent stripping (letters multiply left to right)."""
+    """A reduced word via descent stripping (letters multiply left to right).
+
+    Each step strips the smallest right descent i from a copy of the
+    window; that touches only the pairs at i - 1, i, i + 1, so the scan
+    for the next one resumes at i - 1.
+    """
+    win = list(w.window)
+    n = len(win)
     letters = []
-    cur = w
+    i = 1
     while True:
-        ds = right_descents(cur)
-        if not ds:
-            break
-        i = ds[0]
-        cur = compose(cur, gen(i, cur.n))
+        while i < n and not _descends(win[i - 1], win[i]):
+            i += 1
+        if i == n and win[-1] > 0:
+            return tuple(reversed(letters))
+        _step(win, i)
         letters.append(i)
-    if not cur.is_identity():
-        raise AssertionError("descent stripping failed to reach the identity")
-    return tuple(reversed(letters))
+        i = max(i - 1, 1)
 
 
 def is_reduced(word, n):
-    return length(from_word(word, n)) == len(word)
+    """Whether every letter lengthens the product; each letter is range-checked."""
+    win = list(range(1, n + 1))
+    return all([_step(win, i) for i in word])
 
 
 def longest_element(n):

@@ -22,9 +22,11 @@ ascending runs of ``schubert`` change a result; ``oracle_nh_mul_word``
 also keeps its pieces rational, where ``nh_mul`` clears denominators
 first, so it checks the clearing too.  It reuses ``nilhecke._push_through``
 itself, invariant slide included, so only ``oracle_nh_mul`` checks that
-slide independently.  And ``all_reduced_words`` strips right descents
-with the package's ``compose`` and ``right_descents``, to list every
-reduced word of a small element.
+slide independently.  And ``all_reduced_words`` and
+``oracle_some_reduced_word`` strip right descents with the package's
+``compose`` and ``right_descents``: the first lists every reduced word
+of a small element, the second is the stripping ``some_reduced_word``
+did before it stepped one window in place.
 """
 
 import itertools
@@ -33,7 +35,7 @@ from fractions import Fraction
 import sympy
 
 from nilheckeb import (DX, ExtPoly, NHElement, OMEGA, SignedPerm, act_gen, compose, demazure,
-                       demazure_word, gen, some_reduced_word)
+                       demazure_word, gen, inverse, some_reduced_word)
 from nilheckeb._kernels_py import accumulate
 from nilheckeb.linalg import span_rank
 from nilheckeb.nilhecke import _push_through
@@ -247,14 +249,17 @@ def oracle_nh_mul_word(a, b):
     final division change no result.  The letters go through
     ``nilhecke._push_through``, the same code as ``nh_mul``, so this oracle
     is not independent of the push-through's invariant slide;
-    ``oracle_nh_mul`` is.
+    ``oracle_nh_mul`` is.  ``_push_through`` keys each tail t by the
+    window of t^-1, so b's windows are inverted on the way in and the
+    tails on the way out.
     """
     n = a.nvars
     out = {}
-    parts_b = {t: poly.terms for t, poly in b.parts().items()}
+    parts_b = {inverse(SignedPerm(t)).window: poly.terms for t, poly in b.parts().items()}
     for wa, mono in a.parts().items():
         word = some_reduced_word(SignedPerm(wa))
-        for t, terms in _push_through(reversed(word), parts_b, n).items():
+        for k, terms in _push_through(reversed(word), parts_b, n).items():
+            t = inverse(SignedPerm(k)).window
             for (e, m), c in (mono * ExtPoly(n, OMEGA, terms)).terms.items():
                 accumulate(out, (e, m, t), c)
     return NHElement(n, out)
@@ -298,6 +303,19 @@ def oracle_invariant_dimension(n, a, b):
     ]
     moved = [act_gen(i, f) - f for i in range(1, n + 1) for f in monos]
     return len(monos) - span_rank(moved)
+
+
+def oracle_some_reduced_word(w):
+    """Strip the smallest right descent with ``compose`` until the identity."""
+    letters = []
+    while True:
+        ds = right_descents(w)
+        if not ds:
+            break
+        w = compose(w, gen(ds[0], w.n))
+        letters.append(ds[0])
+    assert w.is_identity()
+    return tuple(reversed(letters))
 
 
 def all_reduced_words(w):

@@ -81,6 +81,7 @@ def test_validation_failure_is_exit_one(capsys):
         (["verify", "--n", "2", "--trials", "0"], "nhb verify: --trials"),
         (["verify", "--n", "6", "--suite", "schur"], "nhb verify: the schur suite walks"),
         (["verify", "--n", "6", "--suite", "all"], "nhb verify: the schur suite walks"),
+        (["verify", "--n", "7", "--suite", "nilhecke"], "nhb verify: the nilhecke suite"),
         (["verify", "--n", "2", "--trials", "-3"], "nhb verify: --trials"),
     ]:
         start = time.perf_counter()
@@ -92,7 +93,7 @@ def test_validation_failure_is_exit_one(capsys):
         assert fragment in captured.err
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
-        assert elapsed < 5, argv  # before any work: the n = 6 suites would run for minutes
+        assert elapsed < 5, argv  # before any work: these suites would run for minutes
 
 
 def test_solomon_suite_passes_at_rank_six(capsys):

@@ -17,10 +17,12 @@ from nilheckeb import (
     OMEGA,
     SignedPerm,
     cli,
+    compose,
     demazure_w,
     descent_walk,
     enumerate_group,
     from_word,
+    gen,
     invariant_schur_basis,
     length,
     longest_element,
@@ -302,6 +304,17 @@ def test_invariant_pieces_match_brute_force_and_leave_operands_unchanged(n):
         before = dict(a.terms), dict(b.terms)
         assert nh_mul(a, b) == reference.oracle_nh_mul(a, b)
         assert (a.terms, b.terms) == before
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_nil_law_through_the_product(n):
+    # D_i * D_t = D_(s_i t) when l(s_i t) = l(t) + 1, else 0; the push-through
+    # tests it as a right step on the inverse of t
+    for t in enumerate_group(n):
+        for i in range(1, n + 1):
+            st_ = compose(gen(i, n), t)
+            want = NHElement.dee(st_) if length(st_) > length(t) else NHElement.zero(n)
+            assert nh_mul(dee(i, n), NHElement.dee(t)) == want
 
 
 @pytest.mark.parametrize("n", [2, 3])

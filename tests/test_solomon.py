@@ -288,6 +288,18 @@ def _patch_images(monkeypatch, change):
     monkeypatch.setattr(solomon, "build_J", patched)
 
 
+def test_verify_solomon_builds_J_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build_J(*args, **kwargs)
+
+    monkeypatch.setattr(solomon, "build_J", counting)
+    assert verify_solomon(3, trials=2).passed
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_a_repeated_image_fails_the_independence_check(monkeypatch, n):
     _patch_images(monkeypatch, lambda images: [images[0], images[0], *images[2:]])

@@ -24,7 +24,6 @@ from nilheckeb import (
     identity,
     inverse,
     is_reduced,
-    left_ascent,
     length,
     longest_element,
     longest_word,
@@ -37,6 +36,7 @@ from nilheckeb import (
     spine_above,
     verify_weyl,
 )
+from nilheckeb.weylb import _step
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -254,9 +254,35 @@ def test_suite_green(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_left_ascent_is_the_length_test(n):
+def test_step_is_right_multiplication_by_a_generator(n):
     for t in enumerate_group(n):
         for i in range(1, n + 1):
-            st = compose(gen(i, n), t)
-            longer = length(st) > length(t)
-            assert left_ascent(i, t.window) == (st.window if longer else None)
+            win = list(t.window)
+            grew = _step(win, i)
+            ts = compose(t, gen(i, n))
+            assert tuple(win) == ts.window
+            assert grew == (length(ts) > length(t))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_some_reduced_word_strips_the_smallest_descent_first(n):
+    for w in enumerate_group(n):
+        assert some_reduced_word(w) == reference.oracle_some_reduced_word(w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_is_reduced_is_the_length_test(data):
+    n = data.draw(st.integers(1, 5))
+    word = tuple(data.draw(st.lists(st.integers(1, n), max_size=n * n + 2)))
+    assert is_reduced(word, n) == (length(from_word(word, n)) == len(word))
+
+
+@pytest.mark.parametrize("word", [(9,), (0,), (-1,), (2, 4), (1, 1, 9)])
+def test_an_out_of_range_letter_raises(word):
+    # (1, 1, 9) is not reduced by its second letter, and still raises
+    for fn in (is_reduced, from_word):
+        with pytest.raises(ValueError, match=r"generator index -?\d out of range 1\.\.3"):
+            fn(word, 3)
+    with pytest.raises(ValueError, match="generator index 4 out of range 1..3"):
+        _step([1, 2, 3], 4)
