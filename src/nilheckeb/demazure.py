@@ -9,6 +9,10 @@ polynomials go to integral ones and an ``int`` coefficient stays an
 each call; the suite's "s_i = id - form * op_i" trials check it, and
 the tests compare every operator with the two-step definition
 (``tests/reference.oracle_demazure``).
+
+``demazure`` is the one-step operator; the chains ``demazure_w`` and
+``demazure_word`` check their input once, step the term dict through the
+kernel and wrap the result in one ``ExtPoly``.
 """
 
 from __future__ import annotations
@@ -23,21 +27,28 @@ from .weylb import act_gen, compose, descent_walk, from_word, length
 __all__ = ["demazure", "demazure_word", "demazure_w", "verify_nil_relations"]
 
 
-def demazure(i, f):
-    """Apply the i-th divided difference (1-based, i = n is the sign one)."""
+def _checked(f, letters=()):
+    """The term dict of f, once f is in the w family and every letter is in range."""
     if f.family != OMEGA:
         raise ValueError("divided differences act on the w family")
     n = f.nvars
-    if not 1 <= i <= n:
-        raise ValueError(f"operator index {i} out of range 1..{n}")
-    return ExtPoly(n, OMEGA, _k.demazure_terms(f.terms, i, n))
+    for i in letters:
+        if not 1 <= i <= n:
+            raise ValueError(f"operator index {i} out of range 1..{n}")
+    return f.terms
+
+
+def demazure(i, f):
+    """Apply the i-th divided difference (1-based, i = n is the sign one)."""
+    return ExtPoly(f.nvars, OMEGA, _k.demazure_terms(_checked(f, (i,)), i, f.nvars))
 
 
 def demazure_word(word, f):
-    """Compose operators along a word, rightmost letter applied first."""
+    """Compose operators along a word, rightmost letter first; every letter is checked at entry."""
+    terms, n = _checked(f, reversed(word)), f.nvars
     for i in reversed(word):
-        f = demazure(i, f)
-    return f
+        terms = _k.demazure_terms(terms, i, n)
+    return ExtPoly(n, OMEGA, terms)
 
 
 def demazure_w(w, f):
@@ -52,15 +63,17 @@ def demazure_w(w, f):
     where stripping the smallest descent first feeds 2,809.  It reads the
     word off the window as it goes.  ``schur.schubert`` walks its own
     chain in ascending runs, which suit most other elements better.  The
-    chain stops once f is zero.
+    rank and family are checked at entry, whatever the word; the term
+    dict is stepped until it is empty, and one ``ExtPoly`` wraps it.
     """
     if w.n != f.nvars:
         raise ValueError("rank mismatch")
+    terms, n = _checked(f), f.nvars
     for i in descent_walk(w.window):
-        if not f:
+        if not terms:
             break
-        f = demazure(i, f)
-    return f
+        terms = _k.demazure_terms(terms, i, n)
+    return ExtPoly(n, OMEGA, terms)
 
 
 def verify_nil_relations(n, trials=25, seed=0):

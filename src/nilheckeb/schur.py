@@ -18,13 +18,13 @@ import itertools
 import math
 import random
 
-from . import linalg
+from . import _kernels_py as _k, linalg
 from .demazure import demazure, demazure_w
 from .extpoly import OMEGA, XDEG, ExtPoly, degree, parse, random_poly
 from .report import SuiteReport
-from .weylb import (_MAX_GROUP_RANK, compose, enumerate_group, gen, identity, inverse,
-                    length, longest_element, random_element, right_descents, run_walk,
-                    spine, spine_above)
+from .weylb import (_MAX_GROUP_RANK, _inverse_window, _spine_window, compose, enumerate_group,
+                    gen, identity, inverse, length, longest_element, random_element,
+                    right_descents, run_walk, spine, spine_above)
 
 __all__ = [
     "default_invariant_gens",
@@ -151,6 +151,8 @@ def schubert(w, n=None):
     result does not depend on the reduced word, but every polynomial on
     the way is the Schubert polynomial of an element on the path, so the
     start and the word set the cost.  S_(s_1) at n = 8 takes no step at all.
+    The word is planned on windows, and the spine monomial's term dict is
+    stepped through ``_kernels_py.demazure_terms`` into one ``ExtPoly``.
 
     Spine lemma: S_U(ell) = x_1^delta_1 ... x_k^delta_k x_(k+1)^r, for
     U(ell) and ell = delta_1 + ... + delta_k + r as in ``weylb.spine``.
@@ -215,15 +217,17 @@ def schubert(w, n=None):
     """
     if n is None:
         n = w.n
+    elif w.n != n:
+        raise ValueError("rank mismatch")
     ell = spine_above(w)
     e, rest = [], ell
     for i in range(1, n + 1):
         e.append(min(rest, 2 * (n - i) + 1))
         rest -= e[-1]
-    f = ExtPoly(n, OMEGA, {(tuple(e), ()): 1})
-    for i in run_walk(compose(inverse(w), spine(ell, n)).window):
-        f = demazure(i, f)
-    return f
+    terms, inv = {(tuple(e), ()): 1}, _inverse_window(w.window)
+    for i in run_walk([inv[v - 1] if v > 0 else -inv[-v - 1] for v in _spine_window(ell, n)]):
+        terms = _k.demazure_terms(terms, i, n)
+    return ExtPoly(n, OMEGA, terms)
 
 
 def is_invariant(f):

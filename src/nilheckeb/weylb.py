@@ -210,6 +210,20 @@ def run_walk(window):
             yield n
 
 
+def _spine_window(ell, n):
+    """The window of the spine element U(ell), as a tuple (see ``spine``)."""
+    if not 0 <= ell <= n * n:
+        raise ValueError(f"spine length {ell} out of range 0..{n * n}")
+    k = 0
+    while k < n - 1 and ell >= 2 * (n - k) - 1:  # U(n^2) = w_0 comes out at k = n - 1
+        ell -= 2 * (n - k) - 1
+        k += 1
+    m = n - k
+    c = k + 1 + ell if ell < m else -(k + 2 * m - ell)
+    return tuple([-j for j in range(1, k + 1)] + [c]
+                 + [v for v in range(k + 1, n + 1) if v != abs(c)])
+
+
 def spine(ell, n):
     """The spine element U(ell) of length ell, 0 <= ell <= n^2.
 
@@ -220,18 +234,7 @@ def spine(ell, n):
     polynomial is the monomial x_1^delta_1 ... x_k^delta_k x_(k+1)^r
     (``schur.schubert`` proves it); U(n^2) = w_0 and U(0) = e.
     """
-    if not 0 <= ell <= n * n:
-        raise ValueError(f"spine length {ell} out of range 0..{n * n}")
-    k = 0
-    while k < n and ell >= 2 * (n - k) - 1:
-        ell -= 2 * (n - k) - 1
-        k += 1
-    if k == n:
-        return longest_element(n)
-    m = n - k
-    c = k + 1 + ell if ell < m else -(k + 2 * m - ell)
-    return SignedPerm([-j for j in range(1, k + 1)] + [c]
-                      + [v for v in range(k + 1, n + 1) if v != abs(c)])
+    return SignedPerm(_spine_window(ell, n))
 
 
 def spine_above(w):

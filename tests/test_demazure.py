@@ -18,6 +18,8 @@ from nilheckeb import (
     demazure,
     demazure_w,
     demazure_word,
+    gen,
+    identity,
     longest_element,
     parse,
     random_poly,
@@ -175,36 +177,61 @@ def fed(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("chain,peak,total", [
-    (lambda: demazure_w(longest_element(5), staircase((), 5)), 126, 435),
-    (lambda: schur_ext((), (1,), 6), 55, 189),
+@pytest.mark.parametrize("chain,steps", [
+    (lambda: demazure_w(longest_element(5), staircase((), 5)),
+     [1, 1, 3, 1, 1, 5, 10, 4, 1, 1, 7, 21, 35, 13, 5, 1, 1, 9, 36, 84, 126, 46, 16, 6, 1]),
+    (lambda: schur_ext((), (1,), 6),
+     [1] * 26 + [3, 6, 12, 25, 55, 26, 14, 9, 7, 6]),
 ], ids=["schubert-e-5", "schur-1-6"])
-def test_chains_strip_the_largest_descent_first(fed, chain, peak, total):
-    # terms fed to the kernel along the chain, largest and summed; stripping the
-    # smallest descent first feeds 291 / 2,809 and 29,724 / 260,918 terms
+def test_chains_strip_the_largest_descent_first(fed, chain, steps):
+    # terms fed to the kernel at each step, 126 / 435 and 55 / 189 largest / summed;
+    # stripping the smallest descent first feeds 291 / 2,809 and 29,724 / 260,918
     chain()
-    assert max(fed) <= peak and sum(fed) <= total
+    assert fed == steps
 
 
-@pytest.mark.parametrize("window,peak,total", [
-    ((-5, 4, 1, -2, -3), 438, 1028),
-    ((1, 3, 2, -4, -5), 162, 1169),
-    ((1, 2, 3, 4, 5), 0, 0),
-    ((2, 1, 3, 4, 5), 0, 0),
-    ((1, 3, 2, 4, 5), 1, 1),
+@pytest.mark.parametrize("window,steps", [
+    ((-5, 4, 1, -2, -3), [1, 2, 5, 19, 66, 29, 53, 83, 86, 246, 438]),
+    ((1, 3, 2, -4, -5),
+     [1, 2, 5, 14, 42, 24, 35, 47, 61, 18, 45, 68, 152, 162, 53, 86, 62, 35, 114, 143]),
+    ((1, 2, 3, 4, 5), []),
+    ((2, 1, 3, 4, 5), []),
+    ((1, 3, 2, 4, 5), [1]),
 ], ids=["middle", "near-top", "identity", "s1", "s2"])
-def test_schubert_climbs_ascending_runs(fed, window, peak, total):
-    # terms fed from the lowest spine element above w, along ascending runs; from
-    # x^delta the runs fed 438 / 1,043, 162 / 1,169, 107 / 770, 239 / 1,492 and
-    # 162 / 1,062, and the largest-descent-first word 841 / 3,781, 775 / 4,147 and
-    # 126 / 435 on the first three.  S_e and S_(s1) are spine monomials themselves.
+def test_schubert_climbs_ascending_runs(fed, window, steps):
+    # terms fed at each step from the lowest spine element above w, along ascending
+    # runs, 438 / 1,028 and 162 / 1,169 largest / summed on the first two; from x^delta
+    # the runs fed 438 / 1,043, 162 / 1,169, 107 / 770, 239 / 1,492 and 162 / 1,062,
+    # and the largest-descent-first word 841 / 3,781, 775 / 4,147 and 126 / 435 on the
+    # first three.  S_e and S_(s1) are spine monomials themselves.
     schubert(SignedPerm(window), 5)
-    assert max(fed, default=0) <= peak and sum(fed) <= total
+    assert fed == steps
 
 
 def test_demazure_w_rejects_another_rank():
     with pytest.raises(ValueError, match="rank mismatch"):
         demazure_w(longest_element(2), ExtPoly.x(1, 3))
+
+
+def x1_dx1():
+    return ExtPoly.x(1, 2, DX) * ExtPoly.odd(1, 2, DX)
+
+
+@pytest.mark.parametrize("chain", [
+    lambda: demazure_w(identity(2), x1_dx1()),
+    lambda: demazure_word((), x1_dx1()),
+    lambda: demazure_w(gen(1, 2), ExtPoly.zero(2, DX)),
+], ids=["identity", "empty-word", "zero"])
+def test_chains_reject_the_dx_family_whatever_the_word(chain):
+    # demazure_w(gen(1, 2), x1 * dx1) raises on its first step; these take no step
+    with pytest.raises(ValueError, match="divided differences act on the w family"):
+        chain()
+
+
+def test_demazure_word_checks_every_letter_at_entry():
+    # d_2 sends x1 to zero before the letter 9 is reached
+    with pytest.raises(ValueError, match=r"operator index 9 out of range 1\.\.2"):
+        demazure_word((9, 2), ExtPoly.x(1, 2))
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -19,6 +19,7 @@ from nilheckeb import (
     format_poincare,
     from_word,
     gen,
+    identity,
     invariant_schur_basis,
     inverse,
     is_invariant,
@@ -153,6 +154,11 @@ def test_schubert_matches_the_smallest_descent_chain(w):
     want = reference.oracle_demazure_w(compose(inverse(w), longest_element(n)), staircase((), n))
     assert schubert(w, n) == want
     assert spine_above(w) >= length(w)
+
+
+def test_schubert_rejects_another_rank():
+    with pytest.raises(ValueError, match="rank mismatch"):
+        schubert(identity(3), 4)
 
 
 def test_schubert_top_degree_is_length():

@@ -36,7 +36,7 @@ from nilheckeb import (
     spine_above,
     verify_weyl,
 )
-from nilheckeb.weylb import _step
+from nilheckeb.weylb import _spine_window, _step
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -139,6 +139,18 @@ def test_spine_windows():
         (-1, 3, 2), (-1, -3, 2), (-1, -2, 3), (-1, -2, -3)]
     with pytest.raises(ValueError, match="out of range"):
         spine(10, 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_spine_window_is_the_spine_window(n):
+    assert all(_spine_window(ell, n) == spine(ell, n).window for ell in range(n * n + 1))
+    for ell in (-1, n * n + 1):
+        errors = []
+        for make in (_spine_window, spine):
+            with pytest.raises(ValueError, match="out of range") as err:
+                make(ell, n)
+            errors.append(str(err.value))
+        assert errors == [f"spine length {ell} out of range 0..{n * n}"] * 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
