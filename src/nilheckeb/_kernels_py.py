@@ -9,7 +9,9 @@ and multiply, so they keep whatever type they are given.  Coefficients are
 kept nonzero, and no function mutates its inputs.  Every function returns
 a fresh dict, except that ``accumulate`` adds one term in place.
 ``demazure_terms`` only adds and negates: it writes a divided difference
-term by term, with no division.
+term by term, with no division.  ``demazure_kills`` states, from a term's
+exponents and mask alone, when ``demazure_terms`` sends it to zero, so a
+caller can skip the call for a one-term dict.
 
 Every kernel is linear over the rationals, so a computation can run on
 ``int`` coefficients alone: ``clear_denominators`` scales a dict by the lcm
@@ -140,6 +142,19 @@ def mul_terms(a, b):
                 else:
                     del out[k]
     return out
+
+
+def demazure_kills(e, m, i, n):
+    """Whether ∂_i sends the term ``x^e * w^m`` to zero (1-based ``i``).
+
+    For ``i < n`` that is ``e_i == e_{i+1}`` with no twist, that is not
+    (``i`` in ``m`` and ``i + 1`` not in ``m``); for ``i = n`` it is an even
+    ``e_n``.  These are exactly the terms on which ``demazure_terms`` writes
+    nothing.
+    """
+    if i == n:
+        return not e[n - 1] & 1
+    return e[i - 1] == e[i] and (i not in m or i + 1 in m)
 
 
 def demazure_terms(terms, i, n):

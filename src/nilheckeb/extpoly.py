@@ -319,7 +319,6 @@ def degree(f, grading):
 # -- text form ----------------------------------------------------------
 
 _FACTOR_RE = re.compile(r"^(?:(\d+(?:/\d+)?)|x(\d+)(?:\^(\d+))?|w(\d+)|dx(\d+))$")
-_SIGN_RE = re.compile(r"([+-])")
 
 
 def monomial_factors(xexp, mask, family):
@@ -353,14 +352,31 @@ def render(f):
     return join_terms((f.terms[k], monomial_factors(*k, f.family)) for k in keys)
 
 
+def _split_signs(text):
+    """``text`` split at the signs outside parentheses, as
+    ``[term, sign, term, ..., term]``."""
+    parts, depth, start = [], 0, 0
+    for k, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch in "+-" and depth <= 0:
+            parts += [text[start:k], ch]
+            start = k + 1
+    parts.append(text[start:])
+    return parts
+
+
 def split_terms(text):
     """Split a signed sum ``['-'] term (('+' | '-') term)*`` into terms.
 
-    Returns ``(sign, term text)`` pairs.  Empty input, a lone sign, a
-    doubled sign and a trailing sign raise ValueError naming what was
-    expected and what was found instead.
+    Returns ``(sign, term text)`` pairs.  A sign inside parentheses, as in
+    ``D(-1)``, belongs to its term and is left for the term's parser to
+    reject.  Empty input, a lone sign, a doubled sign and a trailing sign
+    raise ValueError naming what was expected and what was found instead.
     """
-    parts = _SIGN_RE.split(text)
+    parts = _split_signs(text)
     sign, after = 1, None
     if not parts[0].strip() and parts[1:2] == ["-"]:
         sign, after = -1, "-"

@@ -191,7 +191,9 @@ def _push_through(letters, pieces, n):
     the last entry unless it is negative (i = n).  So a tail is dropped at
     the first letter that fails to lengthen it, and s_i(poly) is needed
     only for tails that survive.  D_i(poly) is written by
-    ``_kernels_py.demazure_terms`` into a dict of its own.  On
+    ``_kernels_py.demazure_terms`` into a dict of its own; a one-term poly
+    is first tested by ``_kernels_py.demazure_kills``, from its exponents
+    and mask, and the kernel runs only when D_i does not kill it.  On
     polynomials s_i = id - alpha_i * D_i, so a poly that D_i kills is
     s_i-invariant and slides past D_i unchanged: constants, symmetric
     polynomials and the twisted invariants such as w_i - x_{i+1}^2 w_{i+1}
@@ -200,14 +202,21 @@ def _push_through(letters, pieces, n):
     s_i.  A moved poly's dict is shared with the previous level, or with
     ``pieces``, so two parts landing on one tail are merged by copying
     (``add_terms``) and no dict is ever added into in place.  A tail whose
-    poly cancels to zero is dropped.  Both rules only add and negate, so
+    poly cancels to zero is skipped by the next letter, and all such tails
+    are dropped once, from the result.  Both rules only add and negate, so
     the ``int`` pieces that ``nh_mul`` passes in, cleared of denominators,
     stay ``int``; rational pieces work the same.
     """
     for i in letters:
         new = {}
         for k, terms in pieces.items():
-            d = _k.demazure_terms(terms, i, n)
+            if not terms:
+                continue
+            if len(terms) == 1:
+                ((e, m),) = terms
+                d = None if _k.demazure_kills(e, m, i, n) else _k.demazure_terms(terms, i, n)
+            else:
+                d = _k.demazure_terms(terms, i, n)
             if d:
                 prev = new.get(k)
                 new[k] = d if prev is None else _k.add_terms(prev, d)
@@ -220,8 +229,8 @@ def _push_through(letters, pieces, n):
                 s = act_gen(i, ExtPoly(n, OMEGA, terms)).terms if d else terms
                 prev = new.get(sk)
                 new[sk] = s if prev is None else _k.add_terms(prev, s)
-        pieces = {k: terms for k, terms in new.items() if terms}
-    return pieces
+        pieces = new
+    return {k: terms for k, terms in pieces.items() if terms}
 
 
 def nh_mul(a, b):
@@ -233,19 +242,24 @@ def nh_mul(a, b):
     keys each tail t by t^-1, so b's windows are inverted on entry and
     each distinct tail of the result at the end.  A piece that ∂_i kills
     is s_i-invariant and slides past D_i as it is; only the others take
-    s_i from ``act_gen``.  The result is divided once by the two
-    denominators: a coefficient is an ``int`` when integral, also when an
-    operand held integral ``Fraction``s.
+    s_i from ``act_gen``.  A part of ``a`` that is a bare D_u, whose
+    polynomial is the constant 1 once cleared, takes the pushed pieces as
+    they are, with no ``mul_terms`` by 1; the result's dict is built
+    fresh, so it shares none with the operands.  The result is divided
+    once by the two denominators: a coefficient is an ``int`` when
+    integral, also when an operand held integral ``Fraction``s.
     """
     a._check(b)
     n = a.nvars
     da, ta = _k.clear_denominators(a.terms)
     db, tb = _k.clear_denominators(b.terms)
     parts_b = {_inverse_window(t): terms for t, terms in _split(tb).items()}
+    one = {((0,) * n, ()): 1}
     by_tail = {}
     for wa, mono in _split(ta).items():
+        bare = mono == one
         for k, terms in _push_through(descent_walk(wa), parts_b, n).items():
-            prod = _k.mul_terms(mono, terms)
+            prod = terms if bare else _k.mul_terms(mono, terms)
             prev = by_tail.get(k)
             by_tail[k] = prod if prev is None else _k.add_terms(prev, prod)
     out = {(e, m, t): c for k, terms in by_tail.items() for t in (_inverse_window(k),)
@@ -443,13 +457,24 @@ def _detects_nonzero(a):
 
 
 def pbw_well_formed(a):
-    """True when every key is a valid PBW index and no coefficient is zero."""
+    """True when every key is a valid PBW index of rank ``a.nvars`` and
+    every coefficient a nonzero ``int`` or ``Fraction``.
+
+    The rules are those of ``ExtPoly.from_terms`` and ``normalize_coeff``:
+    one exponent per variable, each a nonnegative ``int``; odd indices
+    ``int``s in 1..n, strictly increasing; no ``bool`` or ``float``
+    anywhere; and a window that is a signed permutation of rank n.
+    ``nh_mul`` does not check its operands: this is the check.
+    """
+    n = a.nvars
     for (e, m, win), c in a.terms.items():
-        if not c:
+        if (type(c) is not int and not isinstance(c, Fraction)) or not c:
             return False
-        if len(e) != a.nvars or any(v < 0 for v in e):
+        if len(e) != n or any(type(v) is not int or v < 0 for v in e):
             return False
-        if list(m) != sorted(set(m)) or any(not 1 <= i <= a.nvars for i in m):
+        if any(type(i) is not int or not 1 <= i <= n for i in m) or list(m) != sorted(set(m)):
+            return False
+        if len(win) != n or any(type(v) is not int for v in win):
             return False
         try:
             SignedPerm(win)

@@ -243,6 +243,18 @@ def test_zero_denominators_are_exit_one(capsys, command, text, coeff):
     assert captured.err == f"nhb {command}: coefficient '{coeff}' has a zero denominator\n"
 
 
+@pytest.mark.parametrize("text,factor", [
+    ("D(-1)", "D(-1)"),
+    ("x1 - D(1,-2)", "D(1,-2)"),
+    ("D(1+2)*x1", "D(1+2)"),
+])
+def test_a_sign_inside_a_dee_factor_names_the_factor(capsys, text, factor):
+    assert cli.main(["nh", "--n", "2", text]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"nhb nh: cannot parse factor {factor!r}\n"
+
+
 @pytest.mark.parametrize("argv,err", [
     (["schubert", "--n", "2", "--word", "1,,2"], "nhb schubert: --word '1,,2': '' is not an integer"),
     (["schur", "--n", "2", "--alpha", "2,,1"], "nhb schur: --alpha '2,,1': '' is not an integer"),

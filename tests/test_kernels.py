@@ -1,10 +1,12 @@
 """Laws of the term kernels (odd signs, the divided difference, clearing
 denominators) and of the oracle's division kernels."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -100,6 +102,16 @@ def test_demazure_terms_leaves_its_input_unchanged(data, sign_operator):
     assert out is not terms
     assert terms == snapshot
     assert ExtPoly(n, OMEGA, out) == reference.oracle_demazure(i, ExtPoly(n, OMEGA, terms))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_demazure_kills_exactly_the_terms_the_kernel_sends_to_zero(n):
+    masks = [m for r in range(n + 1) for m in itertools.combinations(range(1, n + 1), r)]
+    for e in itertools.product(range(4), repeat=n):
+        for m in masks:
+            for i in range(1, n + 1):
+                zero = kern.demazure_terms({(e, m): 1}, i, n) == {}
+                assert kern.demazure_kills(e, m, i, n) == zero, (e, m, i)
 
 
 @settings(max_examples=150, deadline=None)

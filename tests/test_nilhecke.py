@@ -37,6 +37,7 @@ from nilheckeb import (
     schubert,
     verify_presentation,
 )
+from nilheckeb import _kernels_py
 from nilheckeb.nilhecke import _detects_nonzero, _push_through, _random_nh
 
 
@@ -340,6 +341,115 @@ def test_invariants_commute_with_long_operators_at_high_rank(n):
         assert nh_mul(d, NHElement.from_poly(ExtPoly.const(n, c))) == c * d
         _, f = rng.choice(invariant_schur_basis(n, rng.randint(0, n)))
         assert nh_mul(d, NHElement.from_poly(f)) == NHElement.from_poly(f) * d
+
+
+# one-term pieces: w_i with e_i == e_(i+1), which D_i does not kill (the
+# twist); an even and an odd e_n under D_n; and w_n, which every letter lets
+# slide.  The brute-force oracle has no slide.
+@pytest.mark.parametrize("n,e,m", [
+    (2, (1, 1), (1,)),
+    (3, (0, 0, 2), (1,)),
+    (3, (2, 2, 0), (1, 3)),
+    (3, (1, 1, 1), (2,)),
+    (3, (0, 0, 2), ()),
+    (3, (1, 0, 3), ()),
+    (3, (2, 1, 4), (2,)),
+    (3, (1, 2, 1), (1,)),
+    (2, (0, 0), (2,)),
+    (3, (0, 0, 0), (3,)),
+    (3, (1, 1, 0), (3,)),
+], ids=["twist-n2", "twist-w1", "twist-w1w3", "twist-w2", "even-en", "odd-en",
+        "even-en-w2", "odd-en-w1", "wn-n2", "wn", "wn-x1x2"])
+def test_one_term_pieces_match_brute_force_oracle(n, e, m):
+    g = NHElement(n, {(e, m, from_word((), n).window): Fraction(-3, 2)})
+    for u in enumerate_group(n):
+        a = NHElement.dee(u)
+        assert nh_mul(a, g) == reference.oracle_nh_mul(a, g), u
+
+
+def test_a_tail_that_cancels_mid_word_is_dropped():
+    # D_1 * (1 - x1*D_1) = D_1 - D_1 = 0: the tail s_1 cancels at the first
+    # letter of u = s_2 s_1, the next letter skips it, and x3*D_2 survives
+    n = 3
+    zero = (0,) * n
+    pieces = {from_word((), n).window: {(zero, ()): 1},
+              from_word((1,), n).window: {((1, 0, 0), ()): -1}}
+    assert _push_through((1,), pieces, n) == {}
+    assert _push_through((1, 2), pieces, n) == {}
+    u = from_word((2, 1), n)
+    assert next(iter(descent_walk(u.window))) == 1
+    a = NHElement.dee(u)
+    b = parse_nh("1 - x1*D(1) + x3*D(2)", n)
+    got = nh_mul(a, b)
+    assert got == reference.oracle_nh_mul(a, b)
+    assert nh_mul(a, parse_nh("1 - x1*D(1)", n)).is_zero()
+    assert got == nh_mul(a, parse_nh("x3*D(2)", n)) != 0
+
+
+@pytest.mark.parametrize("c", [1, Fraction(1, 2), Fraction(-4, 3), Fraction(3, 1)])
+def test_bare_operators_times_fractions_match_brute_force_oracle(c):
+    n = 3
+    rng = random.Random(70)
+    for _ in range(12):
+        a = NHElement.dee(random_element(n, rng)) * c
+        b = _random_nh(n, rng)
+        before = dict(a.terms), dict(b.terms)
+        assert nh_mul(a, b) == reference.oracle_nh_mul(a, b)
+        assert (a.terms, b.terms) == before
+
+
+def test_longest_operator_times_one_runs_no_kernel(monkeypatch):
+    calls = []
+    for name in ("demazure_terms", "mul_terms"):
+        kernel = getattr(_kernels_py, name)
+        monkeypatch.setattr(_kernels_py, name,
+                            lambda *args, _k=kernel, _name=name: calls.append(_name) or _k(*args))
+    d = NHElement.dee(longest_element(3))
+    assert nh_mul(d, NHElement.one(3)) == d
+    assert calls == []
+    assert nh_mul(d, NHElement.x(3, 3)) and "demazure_terms" in calls
+
+
+@pytest.mark.parametrize("a,b", [
+    ("D(1,2,1)", "1"),
+    ("D(3,2)", "1/2*x1 - w2*D(1)"),
+    ("2*x1*D(1)", "x2*w1 + D(2)"),
+    ("1/3", "D(2,3) + x3"),
+], ids=["bare-one", "bare-frac", "poly", "const"])
+def test_mutating_the_product_leaves_the_operands_unchanged(a, b):
+    n = 3
+    a, b = parse_nh(a, n), parse_nh(b, n)
+    before = dict(a.terms), dict(b.terms)
+    got = nh_mul(a, b)
+    assert got
+    for k in list(got.terms):
+        got.terms[k] = 99
+    got.terms[((9,) * n, (), from_word((), n).window)] = 7
+    assert (a.terms, b.terms) == before
+
+
+@pytest.mark.parametrize("terms", [
+    {((0, 0), (), (1, 2, 3)): 1},
+    {((0, 0), (), (1,)): 1},
+    {((True, 0), (), (1, 2)): 1},
+    {((1.0, 0), (), (1, 2)): 1},
+    {((0, 0), (True,), (1, 2)): 1},
+    {((0, 0), (), (True, 2)): 1},
+    {((0, 0), (), (1, 2)): 0.5},
+    {((0, 0), (), (1, 2)): True},
+    {((0, 0), (), (1, 2)): "1/2"},
+], ids=["window-rank-3", "window-rank-1", "bool-exponent", "float-exponent",
+        "bool-odd-index", "bool-window-entry", "float-coeff",
+        "bool-coeff", "text-coeff"])
+def test_pbw_well_formed_rejects_malformed_keys_and_coefficients(terms):
+    assert not pbw_well_formed(NHElement(2, terms))
+
+
+def test_pbw_well_formed_accepts_int_and_fraction_coefficients():
+    n = 2
+    assert pbw_well_formed(NHElement(n, {((1, 0), (2,), (-2, 1)): Fraction(1, 2),
+                                         ((0, 3), (1, 2), (1, 2)): -4,
+                                         ((0, 0), (), (2, -1)): Fraction(6, 3)}))
 
 
 GROUPS = {n: enumerate_group(n) for n in (2, 3)}
