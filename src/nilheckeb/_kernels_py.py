@@ -99,11 +99,14 @@ def clear_denominators(terms):
     ``int_terms`` is ``den * terms`` with every coefficient an ``int``.
 
     An integral ``Fraction`` such as ``Fraction(2, 1)`` adds nothing to
-    ``den`` and is read as an ``int``.
+    ``den`` and is read as an ``int``.  Any other coefficient, a ``float``
+    or a ``bool`` say, raises ``TypeError``.
     """
     den = 1
     for c in terms.values():
         if type(c) is not int:
+            if not isinstance(c, Fraction):
+                raise TypeError(f"coefficient {c!r} is neither an int nor a Fraction")
             den = lcm(den, c.denominator)
     return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
 

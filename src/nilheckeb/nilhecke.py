@@ -248,15 +248,23 @@ def nh_mul(a, b):
     fresh, so it shares none with the operands.  The result is divided
     once by the two denominators: a coefficient is an ``int`` when
     integral, also when an operand held integral ``Fraction``s.
+
+    A window of another rank raises ``ValueError``, as in ``nh_act``; each
+    distinct window is checked once.  A coefficient that is neither an
+    ``int`` nor a ``Fraction`` raises ``TypeError``.  ``pbw_well_formed``
+    is the full check of an operand.
     """
     a._check(b)
     n = a.nvars
     da, ta = _k.clear_denominators(a.terms)
     db, tb = _k.clear_denominators(b.terms)
-    parts_b = {_inverse_window(t): terms for t, terms in _split(tb).items()}
+    parts_a, parts_b = _split(ta), _split(tb)
+    if any(len(win) != n for win in (*parts_a, *parts_b)):
+        raise ValueError("rank mismatch")
+    parts_b = {_inverse_window(t): terms for t, terms in parts_b.items()}
     one = {((0,) * n, ()): 1}
     by_tail = {}
-    for wa, mono in _split(ta).items():
+    for wa, mono in parts_a.items():
         bare = mono == one
         for k, terms in _push_through(descent_walk(wa), parts_b, n).items():
             prod = terms if bare else _k.mul_terms(mono, terms)
@@ -464,7 +472,8 @@ def pbw_well_formed(a):
     one exponent per variable, each a nonnegative ``int``; odd indices
     ``int``s in 1..n, strictly increasing; no ``bool`` or ``float``
     anywhere; and a window that is a signed permutation of rank n.
-    ``nh_mul`` does not check its operands: this is the check.
+    ``nh_mul`` checks only each window's rank and each coefficient's
+    type: this is the full check.
     """
     n = a.nvars
     for (e, m, win), c in a.terms.items():

@@ -4,7 +4,7 @@ Everything here is written from scratch on sympy and plain tuples: a
 symbolic divided difference for even polynomials, exact division by a
 linear form, the closed form of the solved images J(w_j), and a
 breadth-first model of the signed-permutation group with its signed
-cycle types.  There are six exceptions.  The generator action
+cycle types.  There are seven exceptions.  The generator action
 ``oracle_act_gen`` multiplies out the images of the generators with
 ``ExtPoly.__mul__``, so it checks ``act_gen`` against the polynomial
 product.  The two-step divided difference ``oracle_demazure`` borrows
@@ -14,7 +14,11 @@ brute-force operator product ``oracle_nh_mul`` borrows the package's
 single-letter operators and polynomial arithmetic but does its own word
 expansion and group bookkeeping.  The dense invariant count
 ``oracle_invariant_dimension`` borrows ``act_gen`` and
-``linalg.span_rank`` but not Molien's formula, which it checks.  The word
+``linalg.span_rank`` but not Molien's formula, which it checks.  The
+basis oracles ``oracle_sign_rule`` (all 4^n products of the invariant
+Schur basis against the product rule, by ``ExtPoly.__mul__``) and
+``oracle_basis_rank`` (its dense rank by ``linalg.span_rank``) are the
+general checks that ``verify_schur``'s structural ones replace.  The word
 oracles ``oracle_demazure_w`` and ``oracle_nh_mul_word`` run the
 package's own operators along ``some_reduced_word`` (smallest descent
 first), so they check that neither the largest-descent-first walk nor the
@@ -303,6 +307,27 @@ def oracle_invariant_dimension(n, a, b):
     ]
     moved = [act_gen(i, f) - f for i in range(1, n + 1) for f in monos]
     return len(monos) - span_rank(moved)
+
+
+def oracle_sign_rule(basis):
+    """The product rule on every ordered pair of a {beta: S_beta} basis.
+
+    S_a S_b is zero when a and b meet, else (-1)^inv(a, b) S_(a u b),
+    inv(a, b) counting the pairs of a in a and b in b with a > b: 4^n
+    products at rank n.
+    """
+    def holds(b1, b2):
+        prod = basis[b1] * basis[b2]
+        if set(b1) & set(b2):
+            return prod.is_zero()
+        return prod == basis[tuple(sorted(b1 + b2))] * (-1) ** sum(a > b for a in b1 for b in b2)
+
+    return all(holds(b1, b2) for b1 in basis for b2 in basis)
+
+
+def oracle_basis_rank(basis):
+    """Rank over Q of the values of a {beta: S_beta} basis, dense."""
+    return span_rank(list(basis.values()))
 
 
 def oracle_some_reduced_word(w):

@@ -445,6 +445,24 @@ def test_pbw_well_formed_rejects_malformed_keys_and_coefficients(terms):
     assert not pbw_well_formed(NHElement(2, terms))
 
 
+@pytest.mark.parametrize("left,terms,error", [
+    (True, {((0, 0), (), (1, 2, 3)): 1}, ValueError),
+    (False, {((0, 0), (), (1, 2, 3)): 1}, ValueError),
+    (False, {((0, 0), (), (1,)): 1}, ValueError),
+    (True, {((0, 0), (), (1, 2)): 0.5}, TypeError),
+    (False, {((0, 0), (), (1, 2)): 1.0}, TypeError),
+    (True, {((0, 0), (), (1, 2)): True}, TypeError),
+], ids=["window-rank-3-left", "window-rank-3-right", "window-rank-1-right",
+        "float-coeff-left", "float-coeff-right", "bool-coeff-left"])
+def test_nh_mul_rejects_a_window_of_another_rank_and_a_non_rational_coefficient(
+        left, terms, error):
+    # each read as something else before: D_(1,2,3) * x1 gave x1, a float failed
+    # with AttributeError deep in clear_denominators, and True was taken for 1
+    bad, x1 = NHElement(2, terms), NHElement.x(1, 2)
+    with pytest.raises(error):
+        nh_mul(bad, x1) if left else nh_mul(x1, bad)
+
+
 def test_pbw_well_formed_accepts_int_and_fraction_coefficients():
     n = 2
     assert pbw_well_formed(NHElement(n, {((1, 0), (2,), (-2, 1)): Fraction(1, 2),

@@ -36,7 +36,7 @@ from nilheckeb import (
     staircase,
     verify_schur,
 )
-from nilheckeb import OMEGA, ExtPoly, schur
+from nilheckeb import OMEGA, ExtPoly, linalg, schur
 from nilheckeb.linalg import rank, span_rank
 from nilheckeb.schur import exponents
 from nilheckeb.weylb import right_descents
@@ -231,6 +231,73 @@ def test_rank_four_results_carry_int_coefficients():
 def test_suite_green(n):
     rep = verify_schur(n, trials=10, seed=0)
     assert rep.passed, str(rep)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_basis_passes_the_all_pairs_sign_rule_and_the_dense_rank(n):
+    basis = {beta: s for k in range(n + 1) for beta, s in invariant_schur_basis(n, k)}
+    assert reference.oracle_sign_rule(basis)
+    assert reference.oracle_basis_rank(basis) == len(basis) == 2**n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_closed_form_is_unitriangular(n):
+    # coefficient 1 on w_i, no w_l with l < i, and even coefficients, which
+    # commute with every w
+    for i in range(1, n + 1):
+        terms = schur_closed_form(i, n).terms
+        assert all(len(m) == 1 and m[0] >= i and not any(v % 2 for v in e) for e, m in terms)
+        assert {k: c for k, c in terms.items() if k[1] == (i,)} == {((0,) * n, (i,)): 1}
+
+
+def test_basis_checks_run_no_linear_algebra(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("linear algebra in the schur suite")
+
+    monkeypatch.setattr(linalg, "rref", refuse)
+    assert verify_schur(4, trials=3, seed=0).passed
+
+
+def _swap_two(layer, k):
+    if k != 2:
+        return layer
+    (b0, s0), (b1, s1), *rest = layer
+    return [(b0, s1), (b1, s0), *rest]
+
+
+def _negate_one(layer, k):
+    if k != 2:
+        return layer
+    (b0, s0), *rest = layer
+    return [(b0, -s0), *rest]
+
+
+def _add_below_the_diagonal(layer, k):
+    if k != 1:
+        return layer
+    (b1, s1), (b2, s2), *rest = layer
+    return [(b1, s1), (b2, s2 + s1), *rest]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("fault,check", [
+    (_swap_two, "invariant basis: ordered products of the S_(i)"),
+    (_negate_one, "invariant basis: ordered products of the S_(i)"),
+    (_add_below_the_diagonal, "closed form matches divided differences"),
+], ids=["two-swapped-in-a-layer", "a-product-negated", "w1-added-to-S2"])
+def test_basis_checks_flag_a_broken_basis(monkeypatch, n, fault, check):
+    # the swap and the negation keep every element invariant and the basis
+    # independent, so only products see them; S_(2) + S_(1) also keeps the
+    # span, but its w_1 lies below the diagonal, where the closed form is 0
+    def fake(n, k):
+        return fault(invariant_schur_basis(n, k), k)
+
+    monkeypatch.setattr(schur, "invariant_schur_basis", fake)
+    checks = {c.check: c.passed for c in verify_schur(n, trials=2, seed=0).checks}
+    assert checks[check] is False
+    basis = {beta: s for k in range(n + 1) for beta, s in fake(n, k)}
+    assert not (reference.oracle_sign_rule(basis)
+                and reference.oracle_basis_rank(basis) == 2**n)
 
 
 def _one_ascent_more(w):
