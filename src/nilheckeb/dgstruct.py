@@ -35,7 +35,7 @@ class Differential:
         sign = -1
         images = []
         for i in range(1, nvars + 1):
-            images.append(homog_B(N - i + 1, 1, i, nvars) * sign)
+            images.append(homog_B(N - i + 1, i, nvars) * sign)
             sign = -sign
         self._images = tuple(images)
 
@@ -101,7 +101,7 @@ def verify_dg(n, N, trials=25, seed=0):
     if n >= 2:
         w2 = ExtPoly.odd(2, n)
         got = d_apply(dN, w1 * w2)
-        want = -(x1 ** (2 * N)) * w2 - homog_B(N - 1, 1, 2, n) * w1
+        want = -(x1 ** (2 * N)) * w2 - homog_B(N - 1, 2, n) * w1
         rep.add("two-letter image with prefix sign", got == want)
 
     def rnd():

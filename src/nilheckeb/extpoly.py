@@ -15,6 +15,12 @@ A coefficient is an ``int`` when integral, else a ``Fraction``: every
 constructor passes its coefficients through ``normalize_coeff``, and the
 divided differences map integral polynomials to integral ones, so a
 denominator appears only where the input or a solve puts one.
+
+A grading is a plain function ``(xexp, omask, family) -> degree`` of one
+term: ``XDEG`` (x_i counts 1, w_i counts -2i, dx_i counts 1), ``BIDEG``
+(x-degree and number of odd letters) and ``DGN(N)`` (x_i counts 1, w_i
+counts 2(N - i) + 1; w family only).  ``degree`` and
+``ExtPoly.homogeneous_components`` call it on each term.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ __all__ = [
     "DX",
     "ExtPoly",
     "normalize_coeff",
-    "Grading",
     "XDEG",
     "BIDEG",
     "DGN",
@@ -70,16 +75,16 @@ def normalize_coeff(c):
 
 
 def _normalize_mask(seq):
-    """Sort an odd-index sequence, returning (sign, tuple) or None on repeat."""
-    mask = tuple(seq)
-    if len(set(mask)) != len(mask):
-        return None
-    inv = 0
-    for i in range(len(mask)):
-        for j in range(i + 1, len(mask)):
-            if mask[i] > mask[j]:
-                inv += 1
-    return (1 if inv % 2 == 0 else -1), tuple(sorted(mask))
+    """Sort an odd-index sequence, returning (sign, tuple) or None on repeat;
+    the letters are merged in one at a time by ``_kernels_py.odd_merge``."""
+    sign, mask = 1, ()
+    for i in seq:
+        merged = _k.odd_merge(mask, (i,))
+        if merged is None:
+            return None
+        s, mask = merged
+        sign *= s
+    return sign, mask
 
 
 class ExtPoly:
@@ -263,54 +268,37 @@ class ExtPoly:
         """Split into homogeneous pieces: dict mapping degree -> ExtPoly."""
         parts = {}
         for key, c in self.terms.items():
-            d = _term_degree(key, grading, self.family)
-            parts.setdefault(d, {})[key] = c
+            parts.setdefault(grading(*key, self.family), {})[key] = c
         return {d: ExtPoly(self.nvars, self.family, t) for d, t in sorted(parts.items())}
 
 
 # -- gradings -----------------------------------------------------------
 
 
-class Grading:
-    """A degree assignment; use the XDEG / BIDEG singletons or DGN(N)."""
-
-    def __init__(self, kind, N=None):
-        self.kind = kind
-        self.N = N
-
-    def __repr__(self):
-        return f"DGN({self.N})" if self.kind == "dgn" else self.kind.upper()
+def XDEG(xexp, mask, family):
+    """x-degree: x_i counts 1, w_i counts -2i and dx_i counts 1."""
+    if family == OMEGA:
+        return sum(xexp) - 2 * sum(mask)
+    return sum(xexp) + len(mask)
 
 
-XDEG = Grading("xdeg")
-BIDEG = Grading("bideg")
+def BIDEG(xexp, mask, family):
+    """The pair (x-degree, number of odd letters)."""
+    return sum(xexp), len(mask)
 
 
 def DGN(N):
-    return Grading("dgn", N)
-
-
-def _term_degree(key, grading, family):
-    xexp, mask = key
-    if grading.kind == "xdeg":
-        d = sum(xexp)
-        if family == OMEGA:
-            d += sum(-2 * i for i in mask)
-        else:
-            d += len(mask)
-        return d
-    if grading.kind == "bideg":
-        return (sum(xexp), len(mask))
-    if grading.kind == "dgn":
+    """The N-grading of the w family: x_i counts 1 and w_i counts 2(N - i) + 1."""
+    def dgn(xexp, mask, family):
         if family != OMEGA:
             raise ValueError("DGN grading applies to the w family only")
-        return sum(xexp) + sum(2 * (grading.N - i) + 1 for i in mask)
-    raise ValueError(f"unknown grading {grading!r}")
+        return sum(xexp) + sum(2 * (N - i) + 1 for i in mask)
+    return dgn
 
 
 def degree(f, grading):
     """Common degree of all terms, or None when inhomogeneous (or zero)."""
-    degs = {_term_degree(key, grading, f.family) for key in f.terms}
+    degs = {grading(e, m, f.family) for e, m in f.terms}
     if len(degs) != 1:
         return None
     return degs.pop()

@@ -110,7 +110,8 @@ class NHElement:
 
     def parts(self):
         """The element as {window of w: ExtPoly coefficient of D_w}."""
-        return {win: ExtPoly(self.nvars, OMEGA, t) for win, t in _split(self.terms).items()}
+        n = self.nvars
+        return {win: ExtPoly(n, OMEGA, t) for win, t in _split(self.terms, n).items()}
 
     def _check(self, other):
         if self.nvars != other.nvars:
@@ -167,10 +168,13 @@ class NHElement:
         return render_nh(self)
 
 
-def _split(terms):
-    """The ``(xexp, omask, window)`` dict as {window: term dict of its poly}."""
+def _split(terms, n):
+    """The ``(xexp, omask, window)`` dict as {window: term dict of its poly};
+    an exponent tuple of other than ``n`` entries raises ValueError."""
     parts = {}
     for (e, m, win), c in terms.items():
+        if len(e) != n:
+            raise ValueError(f"bad exponent tuple {e!r} at rank {n}")
         parts.setdefault(win, {})[(e, m)] = c
     return parts
 
@@ -249,8 +253,10 @@ def nh_mul(a, b):
     once by the two denominators: a coefficient is an ``int`` when
     integral, also when an operand held integral ``Fraction``s.
 
-    A window of another rank raises ``ValueError``, as in ``nh_act``; each
-    distinct window is checked once.  A coefficient that is neither an
+    A window that is not a signed permutation of rank n raises
+    ``ValueError``, as in ``nh_act``: ``SignedPerm`` checks each distinct
+    window once.  So does an exponent tuple of another length, checked as
+    the terms are split by window.  A coefficient that is neither an
     ``int`` nor a ``Fraction`` raises ``TypeError``.  ``pbw_well_formed``
     is the full check of an operand.
     """
@@ -258,8 +264,8 @@ def nh_mul(a, b):
     n = a.nvars
     da, ta = _k.clear_denominators(a.terms)
     db, tb = _k.clear_denominators(b.terms)
-    parts_a, parts_b = _split(ta), _split(tb)
-    if any(len(win) != n for win in (*parts_a, *parts_b)):
+    parts_a, parts_b = _split(ta, n), _split(tb, n)
+    if any(SignedPerm(win).n != n for win in (*parts_a, *parts_b)):
         raise ValueError("rank mismatch")
     parts_b = {_inverse_window(t): terms for t, terms in parts_b.items()}
     one = {((0,) * n, ()): 1}
@@ -472,8 +478,8 @@ def pbw_well_formed(a):
     one exponent per variable, each a nonnegative ``int``; odd indices
     ``int``s in 1..n, strictly increasing; no ``bool`` or ``float``
     anywhere; and a window that is a signed permutation of rank n.
-    ``nh_mul`` checks only each window's rank and each coefficient's
-    type: this is the full check.
+    ``nh_mul`` checks only each window, each exponent tuple's length and
+    each coefficient's type: this is the full check.
     """
     n = a.nvars
     for (e, m, win), c in a.terms.items():

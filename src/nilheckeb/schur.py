@@ -41,15 +41,15 @@ __all__ = [
 ]
 
 
-def homog_B(ell, i, j, nvars):
-    """Complete homogeneous symmetric polynomial in the squares x_i^2..x_j^2."""
+def homog_B(ell, j, nvars):
+    """Complete homogeneous symmetric polynomial h_ell in the squares x_1^2..x_j^2."""
     if ell < 0:
         return ExtPoly.zero(nvars)
     if ell == 0:
         return ExtPoly.one(nvars)
-    if not 1 <= i <= j <= nvars:
-        raise ValueError(f"bad variable window {i}..{j}")
-    return _square_monomials(itertools.combinations_with_replacement(range(i, j + 1), ell), nvars)
+    if not 1 <= j <= nvars:
+        raise ValueError(f"bad variable window 1..{j}")
+    return _square_monomials(itertools.combinations_with_replacement(range(1, j + 1), ell), nvars)
 
 
 def elem_squares(k, j, nvars):

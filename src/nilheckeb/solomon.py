@@ -7,13 +7,16 @@ upper triangular matrix P with constant diagonal; solving it against
 the exterior derivatives of invariant generators f produces a map J
 from the odd generators into the dx ring obeying the same
 divided-difference table as the w generators.  Admissible tuples are
-plain tuples of ExtPoly.  The table is verified, not assumed: every
-generator-table condition, on the images of J and in condition three of
-the second characterization alike, is checked as the polynomial identity
-F - s_k F = alpha_k * G that says d_k F = G, with alpha_k = x_k - x_{k+1}
-for k < n and alpha_n = 2 x_n.  Nothing is divided.  The 2^n images of the
-invariant basis are wedges of the n images J(S_(i)), so their independence
-is certified by one n x n rank at an integer point (``verify_J``).
+tuples of even ExtPoly; an entry that holds an odd generator is refused
+wherever a tuple enters.  On even entries x-degree 0 means constant, so
+P of a tuple that validates has a nonzero constant diagonal.  The table
+is verified, not assumed: every generator-table condition, on the images
+of J and in condition three of the second characterization alike, is
+checked as the polynomial identity F - s_k F = alpha_k * G that
+says d_k F = G, with alpha_k = x_k - x_{k+1} for k < n and alpha_n = 2 x_n.
+Nothing is divided.  The 2^n images of the invariant basis are wedges of
+the n images J(S_(i)), so their independence is certified by one n x n
+rank at an integer point (``verify_J``).
 """
 
 from __future__ import annotations
@@ -99,7 +102,12 @@ def _one_per_variable(polys, what):
 
 
 def _admissible_tuple(p):
-    return _one_per_variable(p, "admissible-tuple entries")
+    """p as a tuple of even polynomials, one per variable."""
+    p = _one_per_variable(p, "admissible-tuple entries")
+    for q in p:
+        if not q.is_even():
+            raise ValueError(f"admissible-tuple entry {render(q)} holds an odd generator")
+    return p
 
 
 def default_admissible(n):
@@ -195,20 +203,13 @@ def p_matrix(p):
 
 def check_char1(p):
     """The two matrix identities an admissible tuple must satisfy."""
-    p = _admissible_tuple(p)
-    n = len(p)
-    rep = SuiteReport("char1")
     P = p_matrix(p)
+    n = P.nvars
+    rep = SuiteReport("char1")
 
     shifts, killed = _column_conditions(P)
     rep.add("double divided difference shifts the columns", shifts)
     rep.add("the sign-change divided difference kills the matrix", killed)
-
-    ok = P.entries == [
-        [demazure_word(chain_word(j + 1, n), P.entries[i][n - 1]) for j in range(n)]
-        for i in range(n)
-    ]
-    rep.add("matrix is recovered from its last column", ok)
 
     ok = True
     for i in range(n):
@@ -320,8 +321,6 @@ class JMap:
             out = out + ExtPoly(n, DX, even) * prod
         return out
 
-    __call__ = apply
-
 
 def build_J(fgens=None, p=None, n=None):
     """Solve the matrix relation df = P * J(w) for the generator images.
@@ -346,8 +345,6 @@ def build_J(fgens=None, p=None, n=None):
     images = [None] * n
     for j in reversed(range(n)):
         c = P[j][j].constant_term()
-        if not c or P[j][j] != c:
-            raise ValueError("the diagonal of P must be nonzero constants")
         rest = exterior_d(fgens[j])
         for t in range(j + 1, n):
             rest = rest - P[j][t].as_family(DX) * images[t]

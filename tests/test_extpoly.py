@@ -7,7 +7,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nilheckeb import (
@@ -27,6 +27,7 @@ from nilheckeb import (
     render,
     to_json,
 )
+from nilheckeb.extpoly import _normalize_mask
 from reference import DivisionError, exact_div_linear
 
 
@@ -284,6 +285,20 @@ def test_gradings():
     assert degree(parse("x1 + x1^2", 2), XDEG) is None
     with pytest.raises(ValueError):
         degree(parse("dx1", 2), DGN(2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(1, 6), max_size=6))
+@example([1, 1])
+@example([3, 1, 2, 1])
+def test_normalize_mask_signs_by_the_inversion_count(seq):
+    # the sign is (-1)^(number of out-of-order pairs); a repeated index kills the term
+    got = _normalize_mask(seq)
+    if len(set(seq)) != len(seq):
+        assert got is None
+        return
+    inversions = sum(a > b for k, a in enumerate(seq) for b in seq[k + 1:])
+    assert got == ((-1) ** inversions, tuple(sorted(seq)))
 
 
 def test_exact_division():

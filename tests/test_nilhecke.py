@@ -463,6 +463,21 @@ def test_nh_mul_rejects_a_window_of_another_rank_and_a_non_rational_coefficient(
         nh_mul(bad, x1) if left else nh_mul(x1, bad)
 
 
+@pytest.mark.parametrize("left", [True, False], ids=["left", "right"])
+@pytest.mark.parametrize("terms", [
+    {((0, 0), (), (1, 1)): 1},
+    {((0, 0), (), (3, 1)): 1},
+    {((0, 0, 0), (), (1, 2)): 1},
+    {((0,), (), (1, 2)): 1},
+], ids=["window-repeat", "window-out-of-range", "exponent-length-3", "exponent-length-1"])
+def test_nh_mul_rejects_a_window_or_exponent_tuple_it_would_misread(left, terms):
+    # D_(1,1) * x1 gave x1, read as D_e; D_(3,1) * x1 gave 1 + x2*D(1); and an
+    # exponent (0, 0, 0) was cut to the rank by zip
+    bad, x1 = NHElement(2, terms), NHElement.x(1, 2)
+    with pytest.raises(ValueError):
+        nh_mul(bad, x1) if left else nh_mul(x1, bad)
+
+
 def test_pbw_well_formed_accepts_int_and_fraction_coefficients():
     n = 2
     assert pbw_well_formed(NHElement(n, {((1, 0), (2,), (-2, 1)): Fraction(1, 2),

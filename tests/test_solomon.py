@@ -69,6 +69,16 @@ def test_tuple_must_have_one_entry_per_variable():
     assert p_matrix(list(default_admissible(3))) == p_matrix(default_admissible(3))
 
 
+@pytest.mark.parametrize("fn", [validate_admissible, p_matrix, check_char1,
+                                lambda p: build_J(p=p, n=2)],
+                         ids=["validate_admissible", "p_matrix", "check_char1", "build_J"])
+def test_a_tuple_entry_with_an_odd_generator_is_refused(fn):
+    # x2^6*w2 has x-degree 2, as p_1 should, and once passed every check of
+    # validate_admissible and check_char1
+    with pytest.raises(ValueError, match="holds an odd generator"):
+        fn((parse("x2^6*w2", 2), parse("1", 2)))
+
+
 def test_build_J_rejects_generators_of_the_wrong_count():
     # two generators at rank 3 once gave a third image 0 without a word
     with pytest.raises(ValueError, match="expected 3 invariant generators"):
@@ -137,6 +147,7 @@ def test_characterizations():
         p = default_admissible(n)
         rep = check_char1(p)
         assert rep.passed, str(rep)
+        assert len(rep.checks) == 4
         P = p_matrix(p)
         theta = [ExtPoly.odd(i, n) for i in range(1, n + 1)]
         rep2 = check_char2(P, theta)
