@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["rref", "rank", "span_rank", "solve"]
+__all__ = ["rref", "rank", "solve"]
 
 
 def rref(rows):
@@ -56,12 +56,6 @@ def _primitive(row):
 
 def rank(rows):
     return len(rref(rows)[1])
-
-
-def span_rank(polys):
-    """Dimension of the span of polynomials, as vectors over their joint support."""
-    keys = sorted({k for f in polys for k in f.terms})
-    return rank([[f.terms.get(k, 0) for k in keys] for f in polys])
 
 
 def solve(rows, rhs):

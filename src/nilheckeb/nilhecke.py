@@ -38,8 +38,8 @@ from .extpoly import (OMEGA, ExtPoly, join_terms, monomial_factors, normalize_co
                       parse_term, random_poly, split_terms)
 from .report import SuiteReport
 from .schur import schubert
-from .weylb import (SignedPerm, _descends, _inverse_window, act_gen, descent_walk, from_word,
-                    identity, is_reduced, length, random_element, some_reduced_word)
+from .weylb import (SignedPerm, _descends, _inverse_window, _is_window, act_gen, descent_walk,
+                    from_word, identity, is_reduced, length, random_element, some_reduced_word)
 
 __all__ = [
     "NHElement",
@@ -254,19 +254,20 @@ def nh_mul(a, b):
     integral, also when an operand held integral ``Fraction``s.
 
     A window that is not a signed permutation of rank n raises
-    ``ValueError``, as in ``nh_act``: ``SignedPerm`` checks each distinct
-    window once.  So does an exponent tuple of another length, checked as
-    the terms are split by window.  A coefficient that is neither an
-    ``int`` nor a ``Fraction`` raises ``TypeError``.  ``pbw_well_formed``
-    is the full check of an operand.
+    ``ValueError``, as in ``nh_act``: ``weylb._is_window``, the rule of
+    ``SignedPerm``, checks each distinct window once.  So does an exponent
+    tuple of another length, checked as the terms are split by window.  A
+    coefficient that is neither an ``int`` nor a ``Fraction`` raises
+    ``TypeError``.  ``pbw_well_formed`` is the full check of an operand.
     """
     a._check(b)
     n = a.nvars
     da, ta = _k.clear_denominators(a.terms)
     db, tb = _k.clear_denominators(b.terms)
     parts_a, parts_b = _split(ta, n), _split(tb, n)
-    if any(SignedPerm(win).n != n for win in (*parts_a, *parts_b)):
-        raise ValueError("rank mismatch")
+    for w in (*parts_a, *parts_b):
+        if not _is_window(w, n):
+            raise ValueError("rank mismatch" if _is_window(w, len(w)) else f"bad window {w!r}")
     parts_b = {_inverse_window(t): terms for t, terms in parts_b.items()}
     one = {((0,) * n, ()): 1}
     by_tail = {}
@@ -489,10 +490,6 @@ def pbw_well_formed(a):
             return False
         if any(type(i) is not int or not 1 <= i <= n for i in m) or list(m) != sorted(set(m)):
             return False
-        if len(win) != n or any(type(v) is not int for v in win):
-            return False
-        try:
-            SignedPerm(win)
-        except ValueError:
+        if any(type(v) is not int for v in win) or not _is_window(win, n):
             return False
     return True

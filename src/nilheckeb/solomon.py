@@ -16,12 +16,14 @@ checked as the polynomial identity F - s_k F = alpha_k * G that
 says d_k F = G, with alpha_k = x_k - x_{k+1} for k < n and alpha_n = 2 x_n.
 Nothing is divided.  The 2^n images of the invariant basis are wedges of
 the n images J(S_(i)), so their independence is certified by one n x n
-rank at an integer point (``verify_J``).
+rank at an integer point (``verify_J``).  The invariant dx polynomials
+match the products of the generators f_i and their differentials df_i in
+every bidegree (``solomon_compare``) by leading terms and a count of
+Molien's series against Solomon's product, with no rank.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -39,7 +41,7 @@ from .extpoly import (
     render,
 )
 from .report import SuiteReport
-from .schur import _lambda_monomials, default_invariant_gens, exponents, invariant_schur_basis
+from .schur import default_invariant_gens, exponents, invariant_schur_basis
 from .weylb import act_gen
 
 __all__ = [
@@ -153,17 +155,17 @@ def validate_admissible(p):
 
 
 class PolyMatrix:
-    """A square matrix of even polynomials."""
+    """A square matrix of even polynomials, one row and one column per variable."""
 
     __slots__ = ("entries", "nvars")
 
     def __init__(self, entries):
-        entries = [list(row) for row in entries]
-        size = len(entries)
-        if any(len(row) != size for row in entries):
-            raise ValueError("matrix must be square")
+        entries = [list(_one_per_variable(row, "row entries")) for row in entries]
+        ranks = sorted({len(row) for row in entries})
+        if [len(entries)] != ranks:
+            raise ValueError(f"expected one row per variable, got {len(entries)} of ranks {ranks}")
         self.entries = entries
-        self.nvars = entries[0][0].nvars
+        self.nvars = ranks[0]
 
     def __eq__(self, other):
         return isinstance(other, PolyMatrix) and self.entries == other.entries
@@ -440,9 +442,6 @@ def _images_bihomogeneous(J):
 # -- invariant dimension comparison -------------------------------------
 
 
-_MAX_XDEG = 6  # solomon_compare checks every bidegree (a, b) with a <= 6
-
-
 def _signed_classes(n):
     """{signed cycle type: class size} over the conjugacy classes of B_n.
 
@@ -470,48 +469,98 @@ def _invariant_dimensions(n, max_a):
     |W|^-1 sum_w det(1 + t w) / det(1 - q w), as w acts alike on the x and on
     the dx.  A k-cycle of w whose signs multiply to e contributes the factors
     1 - e (-t)^k and 1 / (1 - e q^k), so the sum runs over signed cycle types,
-    each weighted by its class size (``_signed_classes``).
+    each weighted by its class size (``_signed_classes``).  A class's term
+    is a polynomial in t times a series in q, formed apart.
     """
     classes = _signed_classes(n)
     total = [[0] * (n + 1) for _ in range(max_a + 1)]
     for cycles, size in classes.items():
-        series = [[0] * (n + 1) for _ in range(max_a + 1)]
-        series[0][0] = size
+        tpoly, qseries = [size] + [0] * n, [1] + [0] * max_a
         for k, sign in cycles:
             tk = sign * (-1) ** k  # 1 - e (-t)^k = 1 - tk t^k
-            for row in series:
-                for b in reversed(range(k, n + 1)):
-                    row[b] -= tk * row[b - k]
+            for b in reversed(range(k, n + 1)):
+                tpoly[b] -= tk * tpoly[b - k]
             for a in range(k, max_a + 1):
-                series[a] = [c + sign * d for c, d in zip(series[a], series[a - k])]
-        total = [[c + d for c, d in zip(r, s)] for r, s in zip(total, series)]
+                qseries[a] += sign * qseries[a - k]
+        total = [[c + m * p for c, p in zip(row, tpoly)] for row, m in zip(total, qseries)]
     order = sum(classes.values())
     if any(c % order for row in total for c in row):
         raise RuntimeError(f"a Molien sum is not divisible by |W| = {order}")
     return [[c // order for c in row] for row in total]
 
 
-def solomon_compare(n):
-    """Invariants of the dx ring versus the span of f and df monomials, in
-    every bidegree (a, b) with a <= 6 and b <= n."""
-    rep = SuiteReport(f"solomon(n={n})")
-    fgens = default_invariant_gens(n)
-    fdx = [f.as_family(DX) for f in fgens]
-    dfs = [exterior_d(f) for f in fgens]
-    dims = _invariant_dimensions(n, _MAX_XDEG)
+def _product_counts(n, max_a):
+    """counts[a][b]: the number of products m * df_T of x-degree a with
+    |T| = b, m a monomial in the f_i: the coefficients of Solomon's series
+    prod_k (1 + t q^(2k-1)) / (1 - q^(2k)), for a <= max_a and b <= n."""
+    series = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(max_a)]
+    for k in range(1, n + 1):
+        for a in reversed(range(2 * k - 1, max_a + 1)):  # times 1 + t q^(2k-1)
+            series[a] = [c + d for c, d in zip(series[a], [0] + series[a - 2 * k + 1])]
+        for a in range(2 * k, max_a + 1):  # over 1 - q^(2k)
+            series[a] = [c + d for c, d in zip(series[a], series[a - 2 * k])]
+    return series
 
-    for b in range(n + 1):
-        dTs = []  # (x-degree, product) for each product of b distinct df
-        for T in itertools.combinations(range(n), b):
-            deg = sum(2 * (n - t) - 1 for t in T)
-            if deg <= _MAX_XDEG:
-                dTs.append((deg, math.prod((dfs[t] for t in T), start=ExtPoly.one(n, DX))))
-        for a in range(_MAX_XDEG + 1):
-            prods = [m * dT for deg, dT in dTs for m in _lambda_monomials(n, a - deg, fdx)]
-            rep.add(
-                f"bidegree ({a},{b}): invariant dimension {dims[a][b]}",
-                dims[a][b] == linalg.span_rank(prods),
-            )
+
+def solomon_compare(n):
+    """Solomon's theorem for the dx forms, in every bidegree (a, b).
+
+    The invariant dx polynomials of x-degree a with b dx letters have as
+    a basis the products m * df_T, where m is a monomial in the invariant
+    generators e_k = e_k(x_1^2, ..., x_n^2) (``default_invariant_gens``
+    lists them as f_i = e_(n-i+1)) and df_T the product of the d e_k with
+    k in T, |T| = b.  No rank is taken.
+
+    Independence, by leading terms.  Order x-exponents lex with
+    x_1 > ... > x_n.  The checks show that e_k leads with x_1^2 ... x_k^2
+    and no odd letter, and that d e_k has one term of lex-largest
+    exponent, x_1^2 ... x_(k-1)^2 x_k, which carries dx_k.  Lex is a
+    monomial order, so m * df_T has one term of largest exponent, the
+    product of the leading terms, with odd mask T: a wedge of distinct
+    dx_k is not zero.  That term gives back the product.  Its
+    mask is T, and its exponent less those of the d e_k, k in T, is
+    sum_k 2 a_k (1, ..., 1, 0, ..., 0) with k ones, which gives the
+    exponent a_k of e_k in m.  Products with distinct leading terms are
+    independent.  The e_k and d e_k are s_i-invariant for every i, as
+    checked, and s_i is a ring map, so the products are invariant; in
+    each bidegree their number bounds the dimension from below.
+
+    Spanning, by a count.  The number of products of bidegree (a, b) is
+    the coefficient of q^a t^b in S = prod_k (1 + t q^(2k-1)) / (1 - q^(2k))
+    (``_product_counts``), and the dimension is that of Molien's series M
+    (``_invariant_dimensions``).  Let D(q) = prod_k (1 - q^(2k)).  Then
+    D S = prod_k (1 + t q^(2k-1)) has q-degree n^2, and D M is
+    |W|^-1 sum_w det(1 + t w) D / det(1 - q w).  Each det(1 - q w) divides
+    D: a k-cycle with sign product e gives the factor 1 - e q^k, which
+    divides 1 - q^(2k), and for cycle lengths k_1, ..., k_r summing to n,
+    D / prod_j (1 - q^(2 k_j)) is a q^2-multinomial coefficient, a
+    polynomial.  So each summand of D M is a polynomial of q-degree
+    n(n+1) - n = n^2.  The coefficient of q^a in D M or D S depends only
+    on those of M or S up to a, so if M and S agree for a <= n^2, then
+    D M = D S, and M = S since D has constant term 1.  The count is
+    compared for a <= n^2, one check per b, so it holds in every
+    bidegree.  A failing check names the first generator or bidegree
+    that disagrees.
+    """
+    rep = SuiteReport(f"solomon(n={n})")
+    es, des = [], []  # (where, polynomial, its wanted leading term (x-exponent, odd mask))
+    for k, f in enumerate(reversed(default_invariant_gens(n)), start=1):
+        top, rest = (2,) * (k - 1), (0,) * (n - k)
+        es.append((f"e_{k}, bidegree ({2 * k},0)", f, ((*top, 2, *rest), ())))
+        des.append((f"d e_{k}, bidegree ({2 * k - 1},1)", exterior_d(f), ((*top, 1, *rest), (k,))))
+    # a leading term is the only term whose x-exponent is lex at least its own
+    wrong_lead = lambda cases: [at for at, g, lt in cases
+                                if [key for key in g.terms if key[0] >= lt[0]] != [lt]]
+    dims, counts = _invariant_dimensions(n, n * n), _product_counts(n, n * n)
+    for check, fails in [
+            ("each e_k(x^2) leads with x_1^2...x_k^2 and no odd letter", wrong_lead(es)),
+            ("each d e_k has one leading term, x_1^2...x_(k-1)^2 x_k dx_k", wrong_lead(des)),
+            ("each e_k and d e_k is s_i-invariant for every i",
+             [at for at, g, _ in es + des if any(act_gen(i, g) != g for i in range(1, n + 1))]),
+            *((f"b = {b}: Molien's dimensions equal the product counts for a <= {n * n}",
+               [f"bidegree ({a},{b}): dimension {dims[a][b]}, {counts[a][b]} products"
+                for a in range(n * n + 1) if dims[a][b] != counts[a][b]]) for b in range(n + 1))]:
+        rep.add(check, not fails, fails[0] if fails else "")
     return rep
 
 

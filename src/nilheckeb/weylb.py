@@ -37,6 +37,11 @@ __all__ = [
 ]
 
 
+def _is_window(window, n):
+    """Whether ``window`` is the window of a signed permutation of rank n."""
+    return len(window) == n and set(map(abs, window)) == set(range(1, n + 1))
+
+
 class SignedPerm:
     """A signed permutation; treat instances as immutable."""
 
@@ -44,8 +49,7 @@ class SignedPerm:
 
     def __init__(self, window):
         window = tuple(window)
-        n = len(window)
-        if sorted(abs(v) for v in window) != list(range(1, n + 1)):
+        if not _is_window(window, len(window)):
             raise ValueError(f"bad window {window!r}")
         self.window = window
 

@@ -4,7 +4,7 @@ Everything here is written from scratch on sympy and plain tuples: a
 symbolic divided difference for even polynomials, exact division by a
 linear form, the closed form of the solved images J(w_j), and a
 breadth-first model of the signed-permutation group with its signed
-cycle types.  There are seven exceptions.  The generator action
+cycle types.  There are eight exceptions.  The generator action
 ``oracle_act_gen`` multiplies out the images of the generators with
 ``ExtPoly.__mul__``, so it checks ``act_gen`` against the polynomial
 product.  The two-step divided difference ``oracle_demazure`` borrows
@@ -13,11 +13,15 @@ division, and not with the term-by-term kernel, which it checks.  The
 brute-force operator product ``oracle_nh_mul`` borrows the package's
 single-letter operators and polynomial arithmetic but does its own word
 expansion and group bookkeeping.  The dense invariant count
-``oracle_invariant_dimension`` borrows ``act_gen`` and
-``linalg.span_rank`` but not Molien's formula, which it checks.  The
-basis oracles ``oracle_sign_rule`` (all 4^n products of the invariant
-Schur basis against the product rule, by ``ExtPoly.__mul__``) and
-``oracle_basis_rank`` (its dense rank by ``linalg.span_rank``) are the
+``oracle_invariant_dimension`` borrows ``act_gen`` and the rank
+``span_rank`` below (``linalg.rank`` over the joint support) but not
+Molien's formula, which it checks.  The dense product rank
+``oracle_product_rank`` multiplies the package's invariant generators and
+their ``exterior_d`` out with ``ExtPoly.__mul__`` and takes ``span_rank``:
+it is the rank ``solomon_compare`` replaced with leading terms and a
+count.  The basis oracles ``oracle_sign_rule`` (all 4^n products of the
+invariant Schur basis against the product rule, by ``ExtPoly.__mul__``)
+and ``oracle_basis_rank`` (its dense rank by ``span_rank``) are the
 general checks that ``verify_schur``'s structural ones replace.  The word
 oracles ``oracle_demazure_w`` and ``oracle_nh_mul_word`` run the
 package's own operators along ``some_reduced_word`` (smallest descent
@@ -34,14 +38,16 @@ did before it stepped one window in place.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import sympy
 
-from nilheckeb import (DX, ExtPoly, NHElement, OMEGA, SignedPerm, act_gen, compose, demazure,
-                       demazure_word, gen, inverse, some_reduced_word)
+from nilheckeb import (DX, ExtPoly, NHElement, OMEGA, SignedPerm, act_gen, compose,
+                       default_invariant_gens, demazure, demazure_word, exterior_d, gen,
+                       inverse, some_reduced_word)
 from nilheckeb._kernels_py import accumulate
-from nilheckeb.linalg import span_rank
+from nilheckeb.linalg import rank
 from nilheckeb.nilhecke import _push_through
 from nilheckeb.weylb import right_descents
 
@@ -294,6 +300,12 @@ def oracle_J_image(j, n):
     return ExtPoly.from_terms(n, entries, DX)
 
 
+def span_rank(polys):
+    """Dimension of the span of polynomials, as vectors over their joint support."""
+    keys = sorted({k for f in polys for k in f.terms})
+    return rank([[f.terms.get(k, 0) for k in keys] for f in polys])
+
+
 def oracle_invariant_dimension(n, a, b):
     """Dimension of the invariant dx polynomials of x-degree a with b dx letters.
 
@@ -307,6 +319,27 @@ def oracle_invariant_dimension(n, a, b):
     ]
     moved = [act_gen(i, f) - f for i in range(1, n + 1) for f in monos]
     return len(monos) - span_rank(moved)
+
+
+def oracle_product_rank(n, a, b, fgens=None):
+    """Rank of the products m * df_T of x-degree a with |T| = b, dense.
+
+    m runs over the monomials in the invariant generators f_i, of degree
+    2(n-i+1), and df_T is the product of the df_i, i in T; ``fgens``
+    defaults to ``default_invariant_gens(n)``.
+    """
+    fgens = default_invariant_gens(n) if fgens is None else fgens
+    degs = [2 * (n - i) for i in range(n)]
+    fdx = [f.as_family(DX) for f in fgens]
+    dfs = [exterior_d(f) for f in fgens]
+    prods = []
+    for T in itertools.combinations(range(n), b):
+        dT = math.prod((dfs[t] for t in T), start=ExtPoly.one(n, DX))
+        rest = a - sum(degs[t] - 1 for t in T)
+        for expo in itertools.product(*(range(rest // d + 1) for d in degs)):
+            if sum(k * d for k, d in zip(expo, degs)) == rest:
+                prods.append(math.prod((f**k for f, k in zip(fdx, expo)), start=dT))
+    return span_rank(prods)
 
 
 def oracle_sign_rule(basis):

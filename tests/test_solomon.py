@@ -11,6 +11,7 @@ from nilheckeb import (
     DX,
     ExtPoly,
     JMap,
+    PolyMatrix,
     act_gen,
     build_J,
     chain_word,
@@ -22,7 +23,6 @@ from nilheckeb import (
     enumerate_group,
     exterior_d,
     invariant_schur_basis,
-    linalg,
     p_matrix,
     parse,
     render,
@@ -32,7 +32,7 @@ from nilheckeb import (
     verify_solomon,
 )
 from nilheckeb import solomon
-from nilheckeb.solomon import _invariant_dimensions, _signed_classes
+from nilheckeb.solomon import _invariant_dimensions, _product_counts, _signed_classes
 
 INDEPENDENT = "images of the invariant basis stay independent"
 
@@ -106,6 +106,16 @@ def test_build_J_rejects_a_tuple_of_another_rank():
         build_J(n=3, p=default_admissible(2))
     with pytest.raises(ValueError, match="admissible tuple has rank 4, the generators rank 3"):
         build_J(fgens=default_invariant_gens(3), p=default_admissible(4))
+
+
+@pytest.mark.parametrize("rows, reason", [
+    ([], "one row per variable, got 0 of ranks \\[\\]"),
+    ([[ExtPoly.one(2), ExtPoly.zero(3)], [ExtPoly.zero(2), ExtPoly.one(2)]], "mix the ranks 2, 3"),
+], ids=["empty", "mixed-ranks"])
+def test_poly_matrix_refuses_no_rows_and_mixed_ranks(rows, reason):
+    # the empty matrix raised IndexError, and mixed ranks were taken silently
+    with pytest.raises(ValueError, match=reason):
+        PolyMatrix(rows)
 
 
 def test_chain_on_default_tuple_gives_unit():
@@ -270,11 +280,75 @@ def test_class_sizes_match_the_enumerated_cycle_types(n):
     assert _signed_classes(n) == counts
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_invariant_dimensions_match(n):
     rep = solomon_compare(n)
     assert rep.passed, str(rep)
-    assert len(rep.checks) == 7 * (n + 1)
+    assert len(rep.checks) == 3 + (n + 1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_product_count_is_the_dense_product_rank(n):
+    # the rank of every product m * df_T, which solomon_compare took for a <= 6
+    counts = _product_counts(n, 6)
+    for a in range(7):
+        for b in range(n + 1):
+            assert reference.oracle_product_rank(n, a, b) == counts[a][b], (a, b)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_count_matches_molien_past_the_degree_bound(n):
+    # solomon_compare stops at a = n^2 by its docstring's argument
+    assert _invariant_dimensions(n, 3 * n * n) == _product_counts(n, 3 * n * n)
+
+
+def test_a_generator_whose_leading_term_repeats_another_fails(monkeypatch):
+    # e_1^2 in place of e_2: invariant, of the right degree, and leading with x1^4
+    # like the f-monomial e_1^2, so the products of bidegree (4,0) lose a rank
+    n = 3
+
+    def patched(n):
+        gens = default_invariant_gens(n)
+        gens[n - 2] = gens[n - 1] ** 2
+        return gens
+
+    monkeypatch.setattr(solomon, "default_invariant_gens", patched)
+    checks = {c.check: c for c in solomon_compare(n).checks}
+    lead = checks["each e_k(x^2) leads with x_1^2...x_k^2 and no odd letter"]
+    assert not lead.passed and lead.detail == "e_2, bidegree (4,0)"
+    assert not checks["each d e_k has one leading term, x_1^2...x_(k-1)^2 x_k dx_k"].passed
+    assert checks["each e_k and d e_k is s_i-invariant for every i"].passed
+    assert reference.oracle_product_rank(n, 4, 0, patched(n)) == 1
+    assert reference.oracle_product_rank(n, 4, 0) == _product_counts(n, 4)[4][0] == 2
+
+
+def test_a_generator_that_is_not_invariant_fails(monkeypatch):
+    # e_1 + x3^2 and its d lead like e_1 and d e_1, but s_2 moves them
+    n = 3
+
+    def patched(n):
+        gens = default_invariant_gens(n)
+        gens[n - 1] = gens[n - 1] + ExtPoly.x(n, n) ** 2
+        return gens
+
+    monkeypatch.setattr(solomon, "default_invariant_gens", patched)
+    failed = [(c.check, c.detail) for c in solomon_compare(n).checks if not c.passed]
+    assert failed == [("each e_k and d e_k is s_i-invariant for every i", "e_1, bidegree (2,0)")]
+
+
+def test_a_wrong_molien_entry_fails_its_count_check(monkeypatch):
+    n = 3
+
+    def patched(n, max_a):
+        dims = _invariant_dimensions(n, max_a)
+        dims[5][1] += 1
+        return dims
+
+    monkeypatch.setattr(solomon, "_invariant_dimensions", patched)
+    failed = [c for c in solomon_compare(n).checks if not c.passed]
+    assert [(c.check, c.detail) for c in failed] == [
+        ("b = 1: Molien's dimensions equal the product counts for a <= 9",
+         "bidegree (5,1): dimension 5, 4 products")]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -287,7 +361,7 @@ def test_images_are_wedges_of_the_one_column_images(n):
         for beta, s in invariant_schur_basis(n, k):
             images.append(J.apply(s))
             assert images[-1] == math.prod((theta[i] for i in beta), start=ExtPoly.one(n, DX))
-    assert linalg.span_rank(images) == len(images) == 2**n
+    assert reference.span_rank(images) == len(images) == 2**n
     assert {c.check: c.passed for c in verify_J(n, trials=2).checks}[INDEPENDENT]
 
 
