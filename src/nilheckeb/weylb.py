@@ -17,6 +17,12 @@ and twists the odd generators:
 The one descent test is ``_descends``: w s_i is longer than w exactly
 when i is not a right descent.  Words step one window in place
 (``_step``); the nilHecke push-through keys each tail t by t^-1.
+
+The group of a rank and the length of an element are constants, so each
+is computed once per process: ``enumerate_group`` builds a rank's
+elements on its first call and hands every later caller a new list of
+the same shared ``SignedPerm`` objects, and ``length`` stores its count
+on the element.  Sharing is why instances must be treated as immutable.
 """
 
 from __future__ import annotations
@@ -43,15 +49,21 @@ def _is_window(window, n):
 
 
 class SignedPerm:
-    """A signed permutation; treat instances as immutable."""
+    """A signed permutation.
 
-    __slots__ = ("window",)
+    Instances must be treated as immutable: ``enumerate_group`` shares
+    its elements between callers, and ``length`` stores the element's
+    length in the ``_length`` slot (``None`` until first asked).
+    """
+
+    __slots__ = ("window", "_length")
 
     def __init__(self, window):
         window = tuple(window)
         if not _is_window(window, len(window)):
             raise ValueError(f"bad window {window!r}")
         self.window = window
+        self._length = None
 
     @property
     def n(self):
@@ -121,14 +133,17 @@ def length(w):
     sign(w(i)) e_|w(i)|.  e_i goes negative when w(i) < 0.  When
     |w(i)| > |w(j)|, one of e_i - e_j and e_i + e_j goes negative;
     otherwise both do when w(i) < 0 and neither does when w(i) > 0.
+    The count is stored on w on the first call and read back after.
     """
-    win = w.window
-    count = sum(v < 0 for v in win)
-    for i, v in enumerate(win):
-        a = abs(v)
-        for u in win[i + 1:]:
-            count += 1 if a > abs(u) else 2 * (v < 0)
-    return count
+    if w._length is None:
+        win = w.window
+        count = sum(v < 0 for v in win)
+        for i, v in enumerate(win):
+            a = abs(v)
+            for u in win[i + 1:]:
+                count += 1 if a > abs(u) else 2 * (v < 0)
+        w._length = count
+    return w._length
 
 
 def _descends(a, b):
@@ -326,18 +341,25 @@ def longest_word(n):
 
 
 _MAX_GROUP_RANK = 5  # the largest rank whose group is enumerated (3840 elements)
+_GROUPS = {}  # n -> the tuple of B_n's elements, sorted by window
 
 
 def enumerate_group(n):
-    """All 2^n n! elements, sorted by window (n <= _MAX_GROUP_RANK)."""
+    """All 2^n n! elements, sorted by window (n <= _MAX_GROUP_RANK).
+
+    The elements are built on the first call for n and kept; each call
+    returns a new list of them, so a caller may reorder or clear its
+    list, but the ``SignedPerm`` objects are shared and must not be
+    changed.
+    """
     if n > _MAX_GROUP_RANK:
         raise ValueError(f"group enumeration is capped at n = {_MAX_GROUP_RANK}")
-    out = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
-            out.append(SignedPerm(tuple(s * p for s, p in zip(signs, perm))))
-    out.sort(key=lambda w: w.window)
-    return out
+    if n not in _GROUPS:
+        windows = sorted(tuple(s * p for s, p in zip(signs, perm))
+                         for perm in itertools.permutations(range(1, n + 1))
+                         for signs in itertools.product((1, -1), repeat=n))
+        _GROUPS[n] = tuple(map(SignedPerm, windows))
+    return list(_GROUPS[n])
 
 
 def random_element(n, rng):

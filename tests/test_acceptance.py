@@ -241,7 +241,7 @@ def test_criterion_7_solomon_suite():
             ok = ok and all(act_gen(k, df) == df for k in range(1, n + 1))
 
     # the full equivariance suite at rank two
-    ok = ok and verify_J(2, trials=8, seed=0).passed
+    ok = ok and verify_J(2).passed
 
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60.0

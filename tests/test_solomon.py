@@ -202,12 +202,12 @@ def test_solved_images_rank_two():
 
 
 def test_equivariance_suite_rank_two():
-    rep = verify_J(2, trials=6, seed=0)
+    rep = verify_J(2)
     assert rep.passed, str(rep)
 
 
 def test_clean_table_holds_rank_three():
-    rep = verify_J(3, trials=4, seed=0)
+    rep = verify_J(3)
     assert rep.passed, str(rep)
     table = [c for c in rep.checks if "generator table" in c.check]
     assert len(table) == 1 and table[0].passed
@@ -351,6 +351,22 @@ def test_a_wrong_molien_entry_fails_its_count_check(monkeypatch):
          "bidegree (5,1): dimension 5, 4 products")]
 
 
+def test_verify_solomon_names_the_failing_count(monkeypatch):
+    n = 3
+
+    def patched(n, max_a):
+        dims = _invariant_dimensions(n, max_a)
+        dims[5][1] += 1
+        return dims
+
+    monkeypatch.setattr(solomon, "_invariant_dimensions", patched)
+    failed = [(c.check, c.detail) for c in verify_solomon(n).checks if not c.passed]
+    assert failed == [
+        ("invariant dimensions match the generator picture",
+         "b = 1: Molien's dimensions equal the product counts for a <= 9: "
+         "bidegree (5,1): dimension 5, 4 products")]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_images_are_wedges_of_the_one_column_images(n):
     # the certificate's premise, and the dense rank over all 2^n images it replaces
@@ -362,7 +378,7 @@ def test_images_are_wedges_of_the_one_column_images(n):
             images.append(J.apply(s))
             assert images[-1] == math.prod((theta[i] for i in beta), start=ExtPoly.one(n, DX))
     assert reference.span_rank(images) == len(images) == 2**n
-    assert {c.check: c.passed for c in verify_J(n, trials=2).checks}[INDEPENDENT]
+    assert {c.check: c.passed for c in verify_J(n).checks}[INDEPENDENT]
 
 
 def _patch_images(monkeypatch, change):
@@ -388,15 +404,36 @@ def test_verify_solomon_builds_J_once(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_a_repeated_image_fails_the_independence_check(monkeypatch, n):
     _patch_images(monkeypatch, lambda images: [images[0], images[0], *images[2:]])
-    assert not {c.check: c.passed for c in verify_J(n, trials=2).checks}[INDEPENDENT]
+    assert not {c.check: c.passed for c in verify_J(n).checks}[INDEPENDENT]
     assert not verify_solomon(n, trials=2).passed
+
+
+INVARIANT = "images of invariants are invariant"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_non_invariant_image_fails_the_invariance_check(monkeypatch, n):
+    # x1^(2n-1) dx1 has the bidegree of J(w_1), but s_1 moves it
+    extra = ExtPoly.x(1, n, DX) ** (2 * n - 1) * ExtPoly.odd(1, n, DX)
+    _patch_images(monkeypatch, lambda images: [images[0] + extra, *images[1:]])
+    checks = {c.check: c for c in verify_J(n).checks}
+    assert not checks[INVARIANT].passed
+    assert checks[INVARIANT].detail == "s_1 moves J(S_(1))"
+    assert checks["generator images are bihomogeneous of the right degrees"].passed
+    failed = {c.check: c.detail for c in verify_solomon(n).checks if not c.passed}
+    assert failed["equivariance suite"].startswith(
+        "divided differences of the images follow the generator table")
+
+
+def test_verify_solomon_passes_with_no_failure_detail():
+    assert all(c.detail == "" for c in verify_solomon(3).checks)
 
 
 @pytest.mark.parametrize("extra", ["x1", "dx1*dx2"])
 def test_an_image_term_without_one_dx_letter_fails_the_independence_check(monkeypatch, extra):
     n = 3
     _patch_images(monkeypatch, lambda images: [images[0] + parse(extra, n, DX), *images[1:]])
-    assert not {c.check: c.passed for c in verify_J(n, trials=2).checks}[INDEPENDENT]
+    assert not {c.check: c.passed for c in verify_J(n).checks}[INDEPENDENT]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])

@@ -36,6 +36,7 @@ from nilheckeb import (
     spine_above,
     verify_weyl,
 )
+from nilheckeb import weylb
 from nilheckeb.weylb import _spine_window, _step
 
 
@@ -257,6 +258,42 @@ def test_random_element_is_uniform_at_rank_two():
     counts = Counter(random_element(2, rng).window for _ in range(8000))
     assert set(counts) == {w.window for w in enumerate_group(2)}
     assert all(abs(c - 1000) <= 150 for c in counts.values()), counts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_each_call_gets_its_own_list_of_the_shared_elements(n, monkeypatch):
+    monkeypatch.setattr(weylb, "_GROUPS", {})
+    first, second = enumerate_group(n), enumerate_group(n)
+    assert first == second and first is not second
+    assert all(u is v for u, v in zip(first, second))
+    want = list(first)
+    first.clear()
+    second.reverse()
+    assert enumerate_group(n) == want
+    assert [w.window for w in want] == sorted(w.window for w in want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_stored_lengths_match_bfs(n, monkeypatch):
+    monkeypatch.setattr(weylb, "_GROUPS", {})
+    dist = reference.bfs_lengths(n)
+    for _ in range(2):  # the first call counts and stores, the second reads back
+        group = enumerate_group(n)
+        assert len(group) == len(dist)
+        assert all(length(w) == dist[w.window] for w in group)
+        assert all(length(SignedPerm(w.window)) == dist[w.window] for w in group)
+
+
+def test_the_group_cap_raises_before_any_work(monkeypatch):
+    monkeypatch.setattr(weylb, "_GROUPS", {})
+    monkeypatch.setattr(weylb.itertools, "permutations", None)
+    with pytest.raises(ValueError, match="capped at n = 5"):
+        enumerate_group(6)
+    assert weylb._GROUPS == {}
+
+
+def test_the_weyl_suite_reads_the_same_twice_in_one_process():
+    assert verify_weyl(4).to_json() == verify_weyl(4).to_json()
 
 
 @pytest.mark.parametrize("n", [2, 3])
