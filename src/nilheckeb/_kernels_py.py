@@ -4,9 +4,12 @@ A polynomial with odd generators is stored as a dict mapping
 ``(xexp, omask) -> coefficient`` where ``xexp`` is a tuple of nonnegative
 integer exponents (one slot per even variable) and ``omask`` is a strictly
 increasing tuple of 1-based odd-generator indices.  A coefficient is an
-``int`` when integral, else a ``Fraction``; the kernels only add, subtract
-and multiply, so they keep whatever type they are given.  Coefficients are
-kept nonzero, and no function mutates its inputs.  Every function returns
+``int`` or a ``Fraction``; the kernels only add, subtract and multiply, so
+they keep whatever type they are given, and an integral ``Fraction`` stays
+one.  Coefficients are kept nonzero, and no function mutates its inputs.
+No kernel checks its input: the rules are held where the dicts are
+built, by ``ExtPoly.from_terms``, ``normalize_coeff`` and the checking
+constructor ``NHElement(n, terms)``.  Every function returns
 a fresh dict, except that ``accumulate`` adds one term in place.
 ``demazure_terms`` only adds and negates: it writes a divided difference
 term by term, with no division.  ``demazure_kills`` states, from a term's
@@ -98,15 +101,14 @@ def clear_denominators(terms):
     """``(den, int_terms)``: ``den`` is the lcm of the denominators and
     ``int_terms`` is ``den * terms`` with every coefficient an ``int``.
 
-    An integral ``Fraction`` such as ``Fraction(2, 1)`` adds nothing to
-    ``den`` and is read as an ``int``.  Any other coefficient, a ``float``
-    or a ``bool`` say, raises ``TypeError``.
+    Every coefficient must be an ``int`` or a ``Fraction``, as
+    ``NHElement(n, terms)`` ensures for the elements ``nh_mul`` clears;
+    nothing is checked here.  An integral ``Fraction`` such as ``Fraction(2, 1)`` adds
+    nothing to ``den`` and is read as an ``int``.
     """
     den = 1
     for c in terms.values():
         if type(c) is not int:
-            if not isinstance(c, Fraction):
-                raise TypeError(f"coefficient {c!r} is neither an int nor a Fraction")
             den = lcm(den, c.denominator)
     return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
 

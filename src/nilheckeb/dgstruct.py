@@ -32,12 +32,7 @@ class Differential:
             raise ValueError("the differential index must be >= 1")
         self.N = N
         self.nvars = nvars
-        sign = -1
-        images = []
-        for i in range(1, nvars + 1):
-            images.append(homog_B(N - i + 1, i, nvars) * sign)
-            sign = -sign
-        self._images = tuple(images)
+        self._images = tuple(homog_B(N - i + 1, i, nvars) * (-1) ** i for i in range(1, nvars + 1))
 
     def of_generator(self, i):
         """The image of w_i: (-1)^i h_{N-i+1} in the first i squares."""
@@ -76,7 +71,9 @@ def d_apply_nh(dN, a):
     """Apply the differential to an operator-algebra element.
 
     The operator letters are even and are killed by d, so d acts on the
-    polynomial coefficient of each normal-form term.
+    polynomial coefficient of each normal-form term.  ``d_apply`` returns
+    well-formed terms and distinct windows keep them apart, so the result
+    keeps the PBW rule and is built unchecked.
     """
     if not isinstance(a, NHElement):
         raise TypeError("expected an operator-algebra element")
@@ -84,7 +81,7 @@ def d_apply_nh(dN, a):
     for win, poly in a.parts().items():
         for (xe, mask), c in d_apply(dN, poly).terms.items():
             out[(xe, mask, win)] = c
-    return NHElement(a.nvars, out)
+    return NHElement._unchecked(a.nvars, out)
 
 
 def verify_dg(n, N, trials=25, seed=0):

@@ -11,10 +11,17 @@ mixed inside one element:
 Terms are stored sparsely as ``(xexp, omask) -> coefficient`` with
 ``xexp`` a tuple of n exponents and ``omask`` a strictly increasing tuple
 of 1-based odd indices; reordering signs are absorbed at construction.
-A coefficient is an ``int`` when integral, else a ``Fraction``: every
-constructor passes its coefficients through ``normalize_coeff``, and the
-divided differences map integral polynomials to integral ones, so a
-denominator appears only where the input or a solve puts one.
+A coefficient is an ``int`` or a ``Fraction``.  Where a coefficient is
+made, it is an ``int`` when integral: the constructors pass their
+coefficients through ``normalize_coeff``, ``nilhecke.nh_mul`` divides
+once at the end, and the divided differences map integral polynomials to
+integral ones, so a denominator appears only where the input or a solve
+puts one.  ``+``, ``-`` and scaling keep the types they are given, so
+``ExtPoly.const(2, Fraction(1, 2)) * 2`` and ``f + f`` keep a
+``Fraction(1, 1)``; it equals ``1``.  The plain constructor
+``ExtPoly(n, family, terms)`` checks the family and the variable count,
+not the terms: the results of operations are built with it, and
+``from_terms`` is the checked way in.
 
 A grading is a plain function ``(xexp, omask, family) -> degree`` of one
 term: ``XDEG`` (x_i counts 1, w_i counts -2i, dx_i counts 1), ``BIDEG``

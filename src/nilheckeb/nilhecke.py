@@ -1,11 +1,23 @@
 """The extended nilHecke algebra of type B in PBW form.
 
-Elements are sums of terms ``x^a * w^mask * D_w`` with rational
-coefficients, stored as ``(xexp, omask, window) -> coefficient``: an
-``int`` when integral, else a ``Fraction``.  The ground truth for the
-multiplication is the faithful action on the extended polynomial ring: a
-divided difference is pushed through a polynomial with the operator form
-of the twisted Leibniz rule,
+Elements are sums of terms ``x^a * w^mask * D_w`` with nonzero rational
+coefficients, stored as ``(xexp, omask, window) -> coefficient``, each
+coefficient an ``int`` or a ``Fraction``.  This PBW rule has one home,
+``_pbw_fault``: ``NHElement(n, terms)`` runs it and raises with the
+first bad term, and ``pbw_well_formed`` reports it.  The operations are
+closed on well-formed elements, so ``+``, ``-``, scaling, ``nh_mul``,
+``NHElement.dee`` and ``dgstruct.d_apply_nh`` build their results with
+``NHElement._unchecked`` and check nothing.  ``zero`` and ``from_poly``
+keep the check: the rank of ``zero`` is the caller's, and an ``ExtPoly``
+built directly is unchecked.  ``one``, ``x``, ``omega``, ``dee`` and
+``nh_mul`` give ``int``-first coefficients, an ``int`` wherever
+integral; ``NHElement(n, terms)``, ``from_poly``, ``+``, ``-`` and
+scaling keep the types they are given, so an integral ``Fraction`` such
+as ``Fraction(2, 1)`` can stay.
+
+The ground truth for the multiplication is the faithful action on the
+extended polynomial ring: a divided difference is pushed through a
+polynomial with the operator form of the twisted Leibniz rule,
 
     D_i * g  =  D_i(g)  +  s_i(g) * D_i,
 
@@ -52,14 +64,75 @@ __all__ = [
 ]
 
 
+def _pbw_fault(n, terms):
+    """The first break of the PBW rule by ``terms`` at rank ``n``, as
+    the exception to raise, or None when there is none.
+
+    The rule is that of ``ExtPoly.from_terms`` and ``normalize_coeff``:
+    the rank is an ``int`` >= 1; each key is a tuple ``(xexp, omask,
+    window)`` of tuples, with one nonnegative ``int`` exponent per
+    variable, odd indices ``int``s in 1..n, strictly increasing, and a
+    window of ``int``s that is a signed permutation of rank n
+    (``weylb._is_window``, the rule of ``SignedPerm``); each coefficient is
+    a nonzero ``int`` or ``Fraction``.  No ``bool`` or ``float`` passes.
+    A coefficient of another type is a ``TypeError``, any other fault a
+    ``ValueError``; either names the term.
+    """
+    if type(n) is not int or n < 1:
+        return ValueError(f"rank {n!r} is not an int >= 1")
+    for key, c in terms.items():
+        if type(c) is not int and not isinstance(c, Fraction):
+            return TypeError(f"term {key!r}: coefficient {c!r} is neither an int nor a Fraction")
+        if not c:
+            return ValueError(f"term {key!r}: zero coefficient")
+        if type(key) is not tuple or len(key) != 3 or any(type(p) is not tuple for p in key):
+            return ValueError(f"term {key!r} is not a tuple (xexp, omask, window) of tuples")
+        e, m, win = key
+        if len(e) != n or any(type(v) is not int or v < 0 for v in e):
+            return ValueError(f"term {key!r}: exponents are not {n} nonnegative ints")
+        if any(type(i) is not int or not 1 <= i <= n for i in m) or list(m) != sorted(set(m)):
+            return ValueError(f"term {key!r}: odd mask is not increasing ints in 1..{n}")
+        if any(type(v) is not int for v in win) or not _is_window(win, n):
+            return ValueError(f"term {key!r}: window is not a signed permutation of rank {n}")
+    return None
+
+
+def pbw_well_formed(a):
+    """True when ``a`` keeps the PBW rule of ``_pbw_fault``.
+
+    ``NHElement(n, terms)`` raises on any element this rejects, so only an
+    element whose ``nvars`` or ``terms`` was replaced after construction,
+    or a result of a faulty operation, can read False.
+    """
+    return _pbw_fault(a.nvars, a.terms) is None
+
+
 class NHElement:
-    """A PBW-normal-form element; treat instances as immutable."""
+    """A PBW-normal-form element; treat instances as immutable.
+
+    ``NHElement(n, terms)`` keeps ``terms`` as given, after checking it
+    against the PBW rule: ``_pbw_fault`` names the first bad term, and
+    the constructor raises it, a ``TypeError`` for a coefficient that is
+    neither an ``int`` nor a ``Fraction``, else a ``ValueError``.
+    Operations on checked elements build their results with
+    ``_unchecked``, which skips the rule.
+    """
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=None):
-        self.nvars = nvars
-        self.terms = terms if terms is not None else {}
+        terms = {} if terms is None else terms
+        fault = _pbw_fault(nvars, terms)
+        if fault is not None:
+            raise fault
+        self.nvars, self.terms = nvars, terms
+
+    @classmethod
+    def _unchecked(cls, nvars, terms):
+        """An element of ``terms`` known to keep the PBW rule at rank ``nvars``."""
+        a = object.__new__(cls)
+        a.nvars, a.terms = nvars, terms
+        return a
 
     # -- constructors ---------------------------------------------------
 
@@ -82,8 +155,7 @@ class NHElement:
     def dee(cls, w):
         """The basis operator D_w of a group element."""
         n = w.n
-        e0 = (0,) * n
-        return cls(n, {(e0, (), w.window): 1})
+        return cls._unchecked(n, {((0,) * n, (), w.window): 1})
 
     @classmethod
     def dee_word(cls, word, n):
@@ -110,8 +182,7 @@ class NHElement:
 
     def parts(self):
         """The element as {window of w: ExtPoly coefficient of D_w}."""
-        n = self.nvars
-        return {win: ExtPoly(n, OMEGA, t) for win, t in _split(self.terms, n).items()}
+        return {win: ExtPoly(self.nvars, OMEGA, t) for win, t in _split(self.terms).items()}
 
     def _check(self, other):
         if self.nvars != other.nvars:
@@ -123,12 +194,12 @@ class NHElement:
         if not isinstance(other, NHElement):
             return NotImplemented
         self._check(other)
-        return NHElement(self.nvars, _k.add_terms(self.terms, other.terms))
+        return self._unchecked(self.nvars, _k.add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NHElement(self.nvars, _k.scale_terms(self.terms, -1))
+        return self._unchecked(self.nvars, _k.scale_terms(self.terms, -1))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -142,7 +213,7 @@ class NHElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return NHElement(self.nvars, _k.scale_terms(self.terms, normalize_coeff(other)))
+            return self._unchecked(self.nvars, _k.scale_terms(self.terms, normalize_coeff(other)))
         if isinstance(other, NHElement):
             return nh_mul(self, other)
         return NotImplemented
@@ -168,13 +239,14 @@ class NHElement:
         return render_nh(self)
 
 
-def _split(terms, n):
-    """The ``(xexp, omask, window)`` dict as {window: term dict of its poly};
-    an exponent tuple of other than ``n`` entries raises ValueError."""
+def _split(terms):
+    """The ``(xexp, omask, window)`` dict as {window: term dict of its poly}.
+
+    It checks nothing: ``terms`` is an element's, which its constructor
+    checked against the PBW rule.
+    """
     parts = {}
     for (e, m, win), c in terms.items():
-        if len(e) != n:
-            raise ValueError(f"bad exponent tuple {e!r} at rank {n}")
         parts.setdefault(win, {})[(e, m)] = c
     return parts
 
@@ -253,22 +325,16 @@ def nh_mul(a, b):
     once by the two denominators: a coefficient is an ``int`` when
     integral, also when an operand held integral ``Fraction``s.
 
-    A window that is not a signed permutation of rank n raises
-    ``ValueError``, as in ``nh_act``: ``weylb._is_window``, the rule of
-    ``SignedPerm``, checks each distinct window once.  So does an exponent
-    tuple of another length, checked as the terms are split by window.  A
-    coefficient that is neither an ``int`` nor a ``Fraction`` raises
-    ``TypeError``.  ``pbw_well_formed`` is the full check of an operand.
+    Operands of unequal rank raise ``ValueError``.  Nothing else is
+    checked: the operands' constructors ran the PBW rule, and the product
+    of well-formed elements is well formed, so it is built unchecked.
     """
     a._check(b)
     n = a.nvars
     da, ta = _k.clear_denominators(a.terms)
     db, tb = _k.clear_denominators(b.terms)
-    parts_a, parts_b = _split(ta, n), _split(tb, n)
-    for w in (*parts_a, *parts_b):
-        if not _is_window(w, n):
-            raise ValueError("rank mismatch" if _is_window(w, len(w)) else f"bad window {w!r}")
-    parts_b = {_inverse_window(t): terms for t, terms in parts_b.items()}
+    parts_a = _split(ta)
+    parts_b = {_inverse_window(t): terms for t, terms in _split(tb).items()}
     one = {((0,) * n, ()): 1}
     by_tail = {}
     for wa, mono in parts_a.items():
@@ -279,7 +345,7 @@ def nh_mul(a, b):
             by_tail[k] = prod if prev is None else _k.add_terms(prev, prod)
     out = {(e, m, t): c for k, terms in by_tail.items() for t in (_inverse_window(k),)
            for (e, m), c in terms.items()}
-    return NHElement(n, _k.divide_terms(out, da * db))
+    return NHElement._unchecked(n, _k.divide_terms(out, da * db))
 
 
 def nh_act(a, f):
@@ -470,26 +536,3 @@ def _detects_nonzero(a):
     u = min({win for (_, _, win) in a.terms}, key=lambda win: (length(SignedPerm(win)), win))
     return bool(nh_act(a, schubert(SignedPerm(u), a.nvars)))
 
-
-def pbw_well_formed(a):
-    """True when every key is a valid PBW index of rank ``a.nvars`` and
-    every coefficient a nonzero ``int`` or ``Fraction``.
-
-    The rules are those of ``ExtPoly.from_terms`` and ``normalize_coeff``:
-    one exponent per variable, each a nonnegative ``int``; odd indices
-    ``int``s in 1..n, strictly increasing; no ``bool`` or ``float``
-    anywhere; and a window that is a signed permutation of rank n.
-    ``nh_mul`` checks only each window, each exponent tuple's length and
-    each coefficient's type: this is the full check.
-    """
-    n = a.nvars
-    for (e, m, win), c in a.terms.items():
-        if (type(c) is not int and not isinstance(c, Fraction)) or not c:
-            return False
-        if len(e) != n or any(type(v) is not int or v < 0 for v in e):
-            return False
-        if any(type(i) is not int or not 1 <= i <= n for i in m) or list(m) != sorted(set(m)):
-            return False
-        if any(type(v) is not int for v in win) or not _is_window(win, n):
-            return False
-    return True

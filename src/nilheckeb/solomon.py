@@ -112,9 +112,7 @@ def _admissible_tuple(p):
 
 
 def default_admissible(n):
-    """The tuple p_i = (-1)^(n-i) x_n^(2(n-i))."""
-    if n < 2:
-        raise ValueError("needs at least two variables")
+    """The tuple p_i = (-1)^(n-i) x_n^(2(n-i)); at n = 1 it is p = (1,)."""
     entries = []
     for i in range(1, n + 1):
         e = [0] * n

@@ -201,12 +201,17 @@ def test_nh_multiplies_factors_in_order(capsys):
     assert out == "0\n"
 
 
-def test_verify_with_no_suite_is_exit_one(capsys):
-    code = cli.main(["verify", "--n", "1", "--suite", "solomon"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert "solomon" in captured.err
+def test_verify_solomon_passes_at_rank_one(capsys):
+    # p = (1,) is admissible at n = 1, so every suite answers at every rank
+    code, out = run(capsys, ["verify", "--n", "1", "--suite", "solomon", "--format", "json"])
+    payload = json.loads(out)
+    assert code == 0 and payload["pass"]
+    [suite] = payload["suites"]
+    assert suite["suite"] == "solomon module(n=1)"
+    assert len(suite["checks"]) == 8 and all(c["pass"] for c in suite["checks"])
+    code, out = run(capsys, ["solomon", "--n", "1"])
+    assert code == 0
+    assert out == "P =\n  [1]\nJ(w1) = 2*x1*dx1\n"
 
 
 def test_dg_command(capsys):

@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 
 import reference
 from nilheckeb import (
+    Differential,
     ExtPoly,
     NHElement,
     OMEGA,
     SignedPerm,
     cli,
     compose,
+    d_apply_nh,
     demazure_w,
     descent_walk,
     enumerate_group,
@@ -428,21 +430,33 @@ def test_mutating_the_product_leaves_the_operands_unchanged(a, b):
     assert (a.terms, b.terms) == before
 
 
-@pytest.mark.parametrize("terms", [
-    {((0, 0), (), (1, 2, 3)): 1},
-    {((0, 0), (), (1,)): 1},
-    {((True, 0), (), (1, 2)): 1},
-    {((1.0, 0), (), (1, 2)): 1},
-    {((0, 0), (True,), (1, 2)): 1},
-    {((0, 0), (), (True, 2)): 1},
-    {((0, 0), (), (1, 2)): 0.5},
-    {((0, 0), (), (1, 2)): True},
-    {((0, 0), (), (1, 2)): "1/2"},
+def _replace_terms(terms):
+    """A checked rank-2 element whose ``terms`` is swapped for ``terms`` afterwards."""
+    a = NHElement(2, {})
+    a.terms = terms
+    return a
+
+
+@pytest.mark.parametrize("terms,error", [
+    ({((0, 0), (), (1, 2, 3)): 1}, ValueError),
+    ({((0, 0), (), (1,)): 1}, ValueError),
+    ({((True, 0), (), (1, 2)): 1}, ValueError),
+    ({((1.0, 0), (), (1, 2)): 1}, ValueError),
+    ({((0, 0), (True,), (1, 2)): 1}, ValueError),
+    ({((0, 0), (), (True, 2)): 1}, ValueError),
+    ({((0, 0), (), (1, 2)): 0.5}, TypeError),
+    ({((0, 0), (), (1, 2)): True}, TypeError),
+    ({((0, 0), (), (1, 2)): "1/2"}, TypeError),
 ], ids=["window-rank-3", "window-rank-1", "bool-exponent", "float-exponent",
         "bool-odd-index", "bool-window-entry", "float-coeff",
         "bool-coeff", "text-coeff"])
-def test_pbw_well_formed_rejects_malformed_keys_and_coefficients(terms):
-    assert not pbw_well_formed(NHElement(2, terms))
+def test_pbw_well_formed_rejects_malformed_keys_and_coefficients(terms, error):
+    # the constructor refuses each of these, naming the term
+    [key] = terms
+    with pytest.raises(error) as info:
+        NHElement(2, terms)
+    assert repr(key) in str(info.value)
+    assert not pbw_well_formed(_replace_terms(terms))
 
 
 @pytest.mark.parametrize("left,terms,error", [
@@ -456,10 +470,12 @@ def test_pbw_well_formed_rejects_malformed_keys_and_coefficients(terms):
         "float-coeff-left", "float-coeff-right", "bool-coeff-left"])
 def test_nh_mul_rejects_a_window_of_another_rank_and_a_non_rational_coefficient(
         left, terms, error):
-    # each read as something else before: D_(1,2,3) * x1 gave x1, a float failed
-    # with AttributeError deep in clear_denominators, and True was taken for 1
-    bad, x1 = NHElement(2, terms), NHElement.x(1, 2)
+    # each was read as something else once: D_(1,2,3) * x1 gave x1, a float failed
+    # with AttributeError deep in clear_denominators, and True was taken for 1;
+    # now no such operand can be built
+    x1 = NHElement.x(1, 2)
     with pytest.raises(error):
+        bad = NHElement(2, terms)
         nh_mul(bad, x1) if left else nh_mul(x1, bad)
 
 
@@ -472,10 +488,55 @@ def test_nh_mul_rejects_a_window_of_another_rank_and_a_non_rational_coefficient(
 ], ids=["window-repeat", "window-out-of-range", "exponent-length-3", "exponent-length-1"])
 def test_nh_mul_rejects_a_window_or_exponent_tuple_it_would_misread(left, terms):
     # D_(1,1) * x1 gave x1, read as D_e; D_(3,1) * x1 gave 1 + x2*D(1); and an
-    # exponent (0, 0, 0) was cut to the rank by zip
-    bad, x1 = NHElement(2, terms), NHElement.x(1, 2)
+    # exponent (0, 0, 0) was cut to the rank by zip; now no such operand can be built
+    x1 = NHElement.x(1, 2)
     with pytest.raises(ValueError):
+        bad = NHElement(2, terms)
         nh_mul(bad, x1) if left else nh_mul(x1, bad)
+
+
+@pytest.mark.parametrize("terms,reason", [
+    ({((0, 0), (2, 1), (1, 2)): 1}, "odd mask"),
+    ({((0, 0), (1, 1), (1, 2)): 1}, "odd mask"),
+    ({((0, 0), (3,), (1, 2)): 1}, "odd mask"),
+    ({((0, -1), (), (1, 2)): 1}, "exponents"),
+    ({((0, 0), (), (1, 2)): 0}, "zero coefficient"),
+    ({((0, 0), (), (1, 2)): Fraction(0)}, "zero coefficient"),
+    ({((0, 0), "", (1, 2)): 1}, "of tuples"),
+    ({((0, 0), ()): 1}, "of tuples"),
+], ids=["unsorted-mask", "repeated-mask", "odd-index-3", "negative-exponent",
+        "zero-coeff", "zero-fraction", "text-mask", "short-key"])
+def test_the_constructor_names_a_key_or_coefficient_the_product_misread(terms, reason):
+    # at rank 2, nh_mul(NHElement(2, terms), x1) kept the mask (2, 1) unsorted,
+    # read (0, -1) and the index 3 as something else, and returned a zero term
+    [key] = terms
+    with pytest.raises(ValueError) as info:
+        NHElement(2, terms)
+    assert repr(key) in str(info.value) and reason in str(info.value)
+    assert not pbw_well_formed(_replace_terms(terms))
+
+
+@pytest.mark.parametrize("nvars", [0, -1, True, 2.0, "2"])
+def test_the_constructor_refuses_a_rank_that_is_not_a_positive_int(nvars):
+    terms = {((0,), (), (1,)): 1} if nvars is True else {}
+    with pytest.raises(ValueError, match="rank"):
+        NHElement(nvars, terms)
+
+
+def test_from_poly_checks_a_polynomial_built_unchecked():
+    with pytest.raises(ValueError, match="exponents"):
+        NHElement.from_poly(ExtPoly(2, OMEGA, {((0, -1), ()): 1}))
+    with pytest.raises(ValueError, match="zero coefficient"):
+        NHElement.from_poly(ExtPoly(2, OMEGA, {((0, 0), ()): 0}))
+
+
+def test_pbw_well_formed_reads_terms_replaced_after_construction():
+    a = NHElement.x(1, 2)
+    assert pbw_well_formed(a)
+    a.terms = {((1, 0), (), (1, 1)): 1}
+    assert not pbw_well_formed(a)
+    a.terms = {((1, 0), (), (1, 2)): 1.5}
+    assert not pbw_well_formed(a)
 
 
 def test_pbw_well_formed_accepts_int_and_fraction_coefficients():
@@ -518,6 +579,19 @@ def test_product_acts_as_composition(args):
 def test_product_is_associative(args):
     a, b, c = args
     assert nh_mul(nh_mul(a, b), c) == nh_mul(a, nh_mul(b, c))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(
+    elements(n), elements(n),
+    st.integers(-3, 3).filter(bool) | st.fractions(-3, 3, max_denominator=3).filter(bool),
+    st.integers(1, 4))))
+def test_operations_on_checked_elements_keep_the_pbw_rule(args):
+    # these results are built with no check, so the rule must hold by closure
+    a, b, c, N = args
+    dN = Differential(N, a.nvars)
+    for got in (a + b, a - b, -a, a * c, c * a, nh_mul(a, b), d_apply_nh(dN, a)):
+        assert pbw_well_formed(got)
 
 
 @settings(max_examples=40, deadline=None)
