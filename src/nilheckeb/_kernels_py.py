@@ -76,21 +76,6 @@ def add_terms(a, b):
     return out
 
 
-def sub_terms(a, b):
-    out = dict(a)
-    for k, c in b.items():
-        v = out.get(k)
-        if v is None:
-            out[k] = -c
-        else:
-            v = v - c
-            if v:
-                out[k] = v
-            else:
-                del out[k]
-    return out
-
-
 def scale_terms(a, c):
     if not c:
         return {}

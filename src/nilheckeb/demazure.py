@@ -10,6 +10,13 @@ each call; the suite's "s_i = id - form * op_i" trials check it, and
 the tests compare every operator with the two-step definition
 (``tests/reference.oracle_demazure``).
 
+The rest of the algebra's presentation on polynomials has one home
+each: ``_simple_root`` gives alpha_i, and ``_generator_table`` the values
+of d_i on x_1..x_n and on a column of odd generators, the w_j or their
+images under ``solomon.build_J``.  ``verify_nil_relations``,
+``nilhecke._relation_pairs`` and ``solomon._follows_generator_table``
+read them, and the braid words from ``weylb._braid_relations``.
+
 ``demazure`` is the one-step operator; the chains ``demazure_w`` and
 ``demazure_word`` check their input once, step the term dict through the
 kernel and wrap the result in one ``ExtPoly``.
@@ -22,7 +29,7 @@ import random
 from . import _kernels_py as _k
 from .extpoly import OMEGA, XDEG, ExtPoly, degree, random_poly
 from .report import SuiteReport
-from .weylb import act_gen, compose, descent_walk, from_word, length
+from .weylb import _braid_relations, act_gen, compose, descent_walk, from_word, length
 
 __all__ = ["demazure", "demazure_word", "demazure_w", "verify_nil_relations"]
 
@@ -76,33 +83,42 @@ def demazure_w(w, f):
     return ExtPoly(n, OMEGA, terms)
 
 
+def _simple_root(i, n, family=OMEGA):
+    """alpha_i = x_i - x_(i+1) for i < n and alpha_n = 2 x_n: on polynomials
+    s_i = id - alpha_i * d_i."""
+    x = lambda j: ExtPoly.x(j, n, family)
+    return x(i) - x(i + 1) if i < n else 2 * x(n)
+
+
+def _generator_table(i, column):
+    """The values of d_i on the generators, as two lists: on x_1..x_n, and
+    on the odd column theta_1..theta_n, the w_j or their images under J.
+
+    d_i x_i = 1 and d_i x_(i+1) = -1 for i < n, d_n x_n = 1, and
+    d_i theta_i = -(x_i + x_(i+1)) theta_(i+1) for i < n; every other
+    generator goes to 0.  The x's are taken in the column's family.
+    """
+    n, family = len(column), column[0].family
+    x = lambda j: ExtPoly.x(j, n, family)
+    evens = [ExtPoly.const(n, (j == i) - (j == i + 1), family) for j in range(1, n + 1)]
+    odds = [-(x(i) + x(i + 1)) * column[i] if j == i < n else ExtPoly.zero(n, family)
+            for j in range(1, n + 1)]
+    return evens, odds
+
+
 def verify_nil_relations(n, trials=25, seed=0):
     """Check the operator table, nil/braid relations, and twisted Leibniz."""
     rep = SuiteReport(f"demazure(n={n})")
     rng = random.Random(seed)
 
-    ok = True
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            got = demazure(i, ExtPoly.x(j, n))
-            if i < n:
-                want = ExtPoly.const(n, 1 if j == i else (-1 if j == i + 1 else 0))
-            else:
-                want = ExtPoly.const(n, 1 if j == n else 0)
-            ok = ok and got == want
-    rep.add("values on even variables", ok)
-
-    ok = True
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            got = demazure(i, ExtPoly.odd(j, n))
-            if i < n and j == i:
-                want = -(ExtPoly.x(i, n) + ExtPoly.x(i + 1, n)) * ExtPoly.odd(i + 1, n)
-            else:
-                want = ExtPoly.zero(n)
-            ok = ok and got == want
-        ok = ok and demazure(i, ExtPoly.one(n)).is_zero()
-    rep.add("values on odd generators", ok)
+    odd = [ExtPoly.odd(j, n) for j in range(1, n + 1)]
+    tables = [(i, *_generator_table(i, odd)) for i in range(1, n + 1)]
+    rep.add("values on even variables",
+            all(demazure(i, ExtPoly.x(j, n)) == v
+                for i, evens, _ in tables for j, v in enumerate(evens, start=1)))
+    rep.add("values on odd generators",
+            all(demazure(i, g) == v for i, _, odds in tables for g, v in zip(odd, odds))
+            and not any(demazure(i, ExtPoly.one(n)) for i in range(1, n + 1)))
 
     def rnd():
         return random_poly(n, OMEGA, max_xdeg=3, max_terms=4, rng=rng)
@@ -110,18 +126,12 @@ def verify_nil_relations(n, trials=25, seed=0):
     rep.trials("squares vanish", trials,
                lambda f: all(demazure(i, demazure(i, f)).is_zero() for i in range(1, n + 1)),
                rnd)
-    rep.trials("distant operators commute", trials,
-               lambda f: all(demazure_word((i, j), f) == demazure_word((j, i), f)
-                             for i in range(1, n) for j in range(i + 2, n + 1)),
-               rnd)
-    rep.trials("adjacent braid", trials,
-               lambda f: all(demazure_word((i, i + 1, i), f) == demazure_word((i + 1, i, i + 1), f)
-                             for i in range(1, n - 1)),
-               rnd)
-    if n >= 2:
-        rep.trials("length-4 braid with the sign operator", trials,
-                   lambda f: demazure_word((n, n - 1, n, n - 1), f)
-                   == demazure_word((n - 1, n, n - 1, n), f),
+    names = {"distant": "distant operators commute", "adjacent": "adjacent braid",
+             "length-4": "length-4 braid with the sign operator"}
+    for kind, pairs in _braid_relations(n).items():
+        rep.trials(names[kind], trials,
+                   lambda f, pairs=pairs: all(demazure_word(a, f) == demazure_word(b, f)
+                                              for a, b in pairs),
                    rnd)
     rep.trials("twisted Leibniz rule", trials,
                lambda f, g: all(demazure(i, f * g)
@@ -129,11 +139,8 @@ def verify_nil_relations(n, trials=25, seed=0):
                                 for i in range(1, n + 1)),
                rnd, rnd)
 
-    def form(i):
-        return ExtPoly.x(i, n) - ExtPoly.x(i + 1, n) if i < n else 2 * ExtPoly.x(n, n)
-
     rep.trials("s_i = id - form * op_i", trials,
-               lambda f: all(act_gen(i, f) == f - form(i) * demazure(i, f)
+               lambda f: all(act_gen(i, f) == f - _simple_root(i, n) * demazure(i, f)
                              for i in range(1, n + 1)),
                rnd)
     rep.trials("images are s_i-invariant", trials,

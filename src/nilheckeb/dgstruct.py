@@ -23,13 +23,15 @@ __all__ = ["Differential", "d_apply", "d_apply_nh", "verify_dg"]
 
 
 class Differential:
-    """The odd derivation d_N on polynomials in n variables."""
+    """The odd derivation d_N on polynomials in n variables; N and the rank
+    n are ``int``s >= 1 (no ``bool``), as ranks are for ``NHElement``."""
 
     __slots__ = ("N", "nvars", "_images")
 
     def __init__(self, N, nvars):
-        if N < 1:
-            raise ValueError("the differential index must be >= 1")
+        for name, v in (("differential index N", N), ("rank nvars", nvars)):
+            if type(v) is not int or v < 1:
+                raise ValueError(f"the {name} = {v!r} is not an int >= 1")
         self.N = N
         self.nvars = nvars
         self._images = tuple(homog_B(N - i + 1, i, nvars) * (-1) ** i for i in range(1, nvars + 1))

@@ -215,8 +215,7 @@ class ExtPoly:
             other = ExtPoly.const(self.nvars, other, self.family)
         if not isinstance(other, ExtPoly):
             return NotImplemented
-        self._check(other)
-        return ExtPoly(self.nvars, self.family, _k.sub_terms(self.terms, other.terms))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other

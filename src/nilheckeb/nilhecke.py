@@ -43,15 +43,17 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from functools import reduce
 
 from . import _kernels_py as _k
-from .demazure import demazure_w
+from .demazure import _generator_table, _simple_root, demazure_w
 from .extpoly import (OMEGA, ExtPoly, join_terms, monomial_factors, normalize_coeff,
-                      parse_term, random_poly, split_terms)
+                      parse_term, random_poly, render, split_terms)
 from .report import SuiteReport
 from .schur import schubert
-from .weylb import (SignedPerm, _descends, _inverse_window, _is_window, act_gen, descent_walk,
-                    from_word, identity, is_reduced, length, random_element, some_reduced_word)
+from .weylb import (SignedPerm, _braid_relations, _descends, _inverse_window, _is_window, act_gen,
+                    descent_walk, from_word, identity, is_reduced, length, random_element,
+                    some_reduced_word)
 
 __all__ = [
     "NHElement",
@@ -92,7 +94,7 @@ def _pbw_fault(n, terms):
             return ValueError(f"term {key!r}: exponents are not {n} nonnegative ints")
         if any(type(i) is not int or not 1 <= i <= n for i in m) or list(m) != sorted(set(m)):
             return ValueError(f"term {key!r}: odd mask is not increasing ints in 1..{n}")
-        if any(type(v) is not int for v in win) or not _is_window(win, n):
+        if not _is_window(win, n):
             return ValueError(f"term {key!r}: window is not a signed permutation of rank {n}")
     return None
 
@@ -413,61 +415,33 @@ def parse_nh(text, nvars):
 
 
 def _relation_pairs(n):
-    """Pairs of NH elements that the presentation declares equal."""
-    one = NHElement.one(n)
-    pairs = []
+    """Pairs of NH elements that the presentation declares equal.
 
-    def dee(i):
-        return NHElement.dee(from_word((i,), n))
-
-    def x(i):
-        return NHElement.x(i, n)
-
-    def w(i):
-        return NHElement.omega(i, n)
-
+    They are D_i^2 = 0, the braid relations of ``weylb._braid_relations``,
+    the passage D_i * g = d_i(g) + (g - alpha_i d_i(g)) * D_i of D_i past
+    each of the 2n generators g, x_1..x_n and w_1..w_n, with d_i(g) from
+    ``demazure._generator_table`` and alpha_i from ``demazure._simple_root``,
+    and, for i < n, the slide of the invariant w_i - x_(i+1)^2 w_(i+1) past
+    D_i.  Both sides of every relation are products computed by ``nh_mul``
+    (the D along a word are multiplied one letter at a time, never built
+    by ``NHElement.dee_word``), so a fault in the product shows here.
+    """
+    dee = lambda i: NHElement.dee(from_word((i,), n))
+    along = lambda word: reduce(nh_mul, map(dee, word))
+    pairs = [(f"D{i}^2 = 0", along((i, i)), NHElement.zero(n)) for i in range(1, n + 1)]
+    pairs += [(f"braid {a} = {b}", along(a), along(b))
+              for words in _braid_relations(n).values() for a, b in words]
+    xs = [ExtPoly.x(j, n) for j in range(1, n + 1)]
+    ws = [ExtPoly.odd(j, n) for j in range(1, n + 1)]
     for i in range(1, n + 1):
-        pairs.append((f"D{i}^2 = 0", dee(i) * dee(i), NHElement.zero(n)))
+        root, (dxs, dws) = _simple_root(i, n), _generator_table(i, ws)
+        for g, dg in zip(xs + ws, dxs + dws):
+            lhs = dee(i) * NHElement.from_poly(g)
+            rhs = NHElement.from_poly(dg) + NHElement.from_poly(g - root * dg) * dee(i)
+            pairs.append((f"D{i} passes {render(g)}", lhs, rhs))
     for i in range(1, n):
-        for j in range(i + 2, n + 1):
-            pairs.append((f"D{i} D{j} commute", dee(i) * dee(j), dee(j) * dee(i)))
-    for i in range(1, n - 1):
-        pairs.append(
-            (
-                f"braid D{i} D{i+1}",
-                dee(i) * dee(i + 1) * dee(i),
-                dee(i + 1) * dee(i) * dee(i + 1),
-            )
-        )
-    if n >= 2:
-        a = dee(n) * dee(n - 1) * dee(n) * dee(n - 1)
-        b = dee(n - 1) * dee(n) * dee(n - 1) * dee(n)
-        pairs.append(("length-4 braid", a, b))
-    for i in range(1, n):
-        pairs.append((f"D{i} x{i} - x{i+1} D{i} = 1", dee(i) * x(i) - x(i + 1) * dee(i), one))
-        pairs.append(
-            (f"D{i} x{i+1} - x{i} D{i} = -1", dee(i) * x(i + 1) - x(i) * dee(i), -one)
-        )
-        for j in range(1, n + 1):
-            if j not in (i, i + 1):
-                pairs.append((f"D{i} x{j} commute", dee(i) * x(j), x(j) * dee(i)))
-    pairs.append((f"D{n} x{n} + x{n} D{n} = 1", dee(n) * x(n) + x(n) * dee(n), one))
-    for j in range(1, n):
-        pairs.append((f"D{n} x{j} commute", dee(n) * x(j), x(j) * dee(n)))
-    for i in range(1, n):
-        for j in range(1, n + 1):
-            if j != i:
-                pairs.append((f"D{i} w{j} commute", dee(i) * w(j), w(j) * dee(i)))
-        xi, xj = ExtPoly.x(i, n), ExtPoly.x(i + 1, n)
-        corr = NHElement.from_poly((xi * xi - xj * xj) * ExtPoly.odd(i + 1, n)) * dee(i)
-        low = NHElement.from_poly((xi + xj) * ExtPoly.odd(i + 1, n))
-        pairs.append((f"D{i} w{i} rewrite", dee(i) * w(i), w(i) * dee(i) + corr - low))
-        inv = NHElement.from_poly(
-            ExtPoly.odd(i, n) - ExtPoly.x(i + 1, n) ** 2 * ExtPoly.odd(i + 1, n)
-        )
+        inv = NHElement.from_poly(ws[i - 1] - xs[i] ** 2 * ws[i])
         pairs.append((f"invariant slides past D{i}", dee(i) * inv, inv * dee(i)))
-    for j in range(1, n + 1):
-        pairs.append((f"D{n} w{j} commute", dee(n) * w(j), w(j) * dee(n)))
     return pairs
 
 

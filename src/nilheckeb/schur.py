@@ -252,8 +252,11 @@ def poincare(n):
     The product formula prod_i (1 + q + ... + q^(2i-1)); ``verify_schur``
     compares it with the number of elements of each length.  Each factor is
     (1 - q^(2i)) / (1 - q): subtract the list shifted by 2i, then take
-    running sums, O(n^3) additions in all.
+    running sums, O(n^3) additions in all.  The rank n is an ``int`` >= 0
+    (no ``bool``); B_0 gives [1].
     """
+    if type(n) is not int or n < 0:
+        raise ValueError(f"the rank n = {n!r} is not an int >= 0")
     out = [1]
     for i in range(1, n + 1):
         diff = (a - b for a, b in zip(out + [0] * (2 * i - 1), [0] * (2 * i) + out))

@@ -12,11 +12,13 @@ wherever a tuple enters.  On even entries x-degree 0 means constant, so
 P of a tuple that validates has a nonzero constant diagonal.  The table
 is verified, not assumed: every generator-table condition, on the images
 of J and in condition three of the second characterization alike, is
-checked as the polynomial identity F - s_k F = alpha_k * G that
-says d_k F = G, with alpha_k = x_k - x_{k+1} for k < n and alpha_n = 2 x_n.
-Nothing is divided.  The 2^n images of the invariant basis are wedges of
-the n images J(S_(i)), so their independence is certified by one n x n
-rank at an integer point (``verify_J``).  The invariant dx polynomials
+checked by ``_follows_generator_table`` as the polynomial identity
+F - s_k F = alpha_k * G that says d_k F = G, where the table G and the
+root alpha_k come from ``demazure._generator_table`` and
+``demazure._simple_root``, the homes the demazure and nilhecke suites
+read too.  Nothing is divided.  The 2^n images of the invariant basis
+are wedges of the n images J(S_(i)), so their independence is certified
+by one n x n rank at an integer point (``verify_J``).  The invariant dx polynomials
 match the products of the generators f_i and their differentials df_i in
 every bidegree (``solomon_compare``) by leading terms and a count of
 Molien's series against Solomon's product, with no rank.
@@ -29,7 +31,7 @@ from fractions import Fraction
 
 from . import linalg
 from ._kernels_py import accumulate
-from .demazure import demazure, demazure_word
+from .demazure import _generator_table, _simple_root, demazure, demazure_word
 from .extpoly import (
     DX,
     OMEGA,
@@ -243,17 +245,12 @@ def _column_conditions(P):
 
 
 def _follows_generator_table(theta):
-    """Whether d_k theta_j is -(x_k + x_{k+1}) theta_{k+1} for j = k < n and
-    0 otherwise, checked as theta_j - s_k theta_j = alpha_k * d_k theta_j."""
-    n = len(theta)
-    x = lambda i: ExtPoly.x(i, n, theta[0].family)
-    for k in range(1, n + 1):
-        root = x(k) - x(k + 1) if k < n else 2 * x(n)
-        for j, v in enumerate(theta, start=1):
-            want = root * -(x(k) + x(k + 1)) * theta[k] if j == k < n else 0
-            if v - act_gen(k, v) != want:
-                return False
-    return True
+    """Whether d_k theta_j is the value ``demazure._generator_table`` gives
+    for every k and j, checked as theta_j - s_k theta_j = alpha_k * d_k theta_j
+    with alpha_k from ``demazure._simple_root``; nothing is divided."""
+    n, family = len(theta), theta[0].family
+    return all(v - act_gen(k, v) == _simple_root(k, n, family) * want
+               for k in range(1, n + 1) for v, want in zip(theta, _generator_table(k, theta)[1]))
 
 
 def check_char2(P, theta):

@@ -1,7 +1,8 @@
 """The signed-permutation group of type B and its twisted action.
 
 Elements are signed permutations in window notation: ``(w(1), ..., w(n))``
-with each ``|w(i)|`` distinct and covering ``1..n``.  Generators are
+with n >= 1 and ``int`` entries whose ``|w(i)|`` are distinct and cover
+``1..n``; ``_is_window`` is that rule's one home.  Generators are
 ``s_1..s_{n-1}`` (adjacent transpositions of positions) and ``s_n``
 (sign change of the last position).
 
@@ -13,6 +14,11 @@ and twists the odd generators:
 * ``s_n`` fixes every ``w_j``;
 * on the dx family, ``s_i`` permutes ``dx_i, dx_{i+1}`` and ``s_n``
   negates ``dx_n``.
+
+The braid relations of B_n have one home, ``_braid_relations``: the
+group and action checks of ``verify_weyl``, the operator checks of
+``demazure.verify_nil_relations`` and the relations of
+``nilhecke._relation_pairs`` all read their words there.
 
 The one descent test is ``_descends``: w s_i is longer than w exactly
 when i is not a right descent.  Words step one window in place
@@ -44,8 +50,11 @@ __all__ = [
 
 
 def _is_window(window, n):
-    """Whether ``window`` is the window of a signed permutation of rank n."""
-    return len(window) == n and set(map(abs, window)) == set(range(1, n + 1))
+    """Whether ``window`` is the window of a signed permutation of rank n:
+    n >= 1, and the entries are ``int``s (no ``bool``) whose absolute
+    values are 1..n."""
+    return (n >= 1 and len(window) == n and all(type(v) is int for v in window)
+            and set(map(abs, window)) == set(range(1, n + 1)))
 
 
 class SignedPerm:
@@ -340,6 +349,20 @@ def longest_word(n):
     return tuple(word)
 
 
+def _braid_relations(n):
+    """The braid relations of B_n, by kind, as pairs of reduced words that
+    spell one element: "distant" s_i s_j = s_j s_i for j >= i + 2,
+    "adjacent" s_i s_(i+1) s_i = s_(i+1) s_i s_(i+1) for i + 1 < n, and, for
+    n >= 2, "length-4" (s_n s_(n-1))^2 = (s_(n-1) s_n)^2.  With s_i^2 = 1
+    they present B_n; every suite that checks the relations reads them here.
+    """
+    kinds = {"distant": [((i, j), (j, i)) for i in range(1, n - 1) for j in range(i + 2, n + 1)],
+             "adjacent": [((i, i + 1, i), (i + 1, i, i + 1)) for i in range(1, n - 1)]}
+    if n >= 2:
+        kinds["length-4"] = [((n, n - 1, n, n - 1), (n - 1, n, n - 1, n))]
+    return kinds
+
+
 _MAX_GROUP_RANK = 5  # the largest rank whose group is enumerated (3840 elements)
 _GROUPS = {}  # n -> the tuple of B_n's elements, sorted by window
 
@@ -450,23 +473,11 @@ def verify_weyl(n, trials=25, seed=0):
 
     ok = all(compose(gen(i, n), gen(i, n)).is_identity() for i in range(1, n + 1))
     rep.add("generator squares (group)", ok)
-    ok = True
-    for i in range(1, n):
-        for j in range(i + 2, n + 1):
-            a = compose(gen(i, n), gen(j, n))
-            b = compose(gen(j, n), gen(i, n))
-            ok = ok and a == b
-    rep.add("distant generators commute (group)", ok)
-    ok = True
-    for i in range(1, n - 1):
-        a = from_word((i, i + 1, i), n)
-        b = from_word((i + 1, i, i + 1), n)
-        ok = ok and a == b
-    rep.add("adjacent braid (group)", ok)
-    if n >= 2:
-        a = from_word((n, n - 1, n, n - 1), n)
-        b = from_word((n - 1, n, n - 1, n), n)
-        rep.add("length-4 braid with s_n (group)", a == b)
+    names = {"distant": "distant generators commute (group)", "adjacent": "adjacent braid (group)",
+             "length-4": "length-4 braid with s_n (group)"}
+    braids = _braid_relations(n)
+    for kind, pairs in braids.items():
+        rep.add(names[kind], all(from_word(a, n) == from_word(b, n) for a, b in pairs))
 
     def rnd(fam=OMEGA):
         return random_poly(n, fam, max_xdeg=3, max_terms=4, rng=rng)
@@ -482,15 +493,10 @@ def verify_weyl(n, trials=25, seed=0):
                    lambda f: all(act_gen(i, act_gen(i, f)) == f for i in range(1, n + 1)),
                    lambda: rnd(fam))
 
-    def braids_hold(f):
-        return (all(act_word((i, i + 1, i), f) == act_word((i + 1, i, i + 1), f)
-                    for i in range(1, n - 1))
-                and all(act_word((i, j), f) == act_word((j, i), f)
-                        for i in range(1, n - 1) for j in range(i + 2, n + 1))
-                and (n < 2 or act_word((n, n - 1, n, n - 1), f)
-                     == act_word((n - 1, n, n - 1, n), f)))
-
-    rep.trials("braid relations on the action", trials, braids_hold, rnd)
+    rep.trials("braid relations on the action", trials,
+               lambda f: all(act_word(a, f) == act_word(b, f)
+                             for pairs in braids.values() for a, b in pairs),
+               rnd)
     rep.trials("action respects composition", trials,
                lambda f, u, v: act(u, act(v, f)) == act(compose(u, v), f),
                rnd, rnd_elem, rnd_elem)

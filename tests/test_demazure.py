@@ -29,6 +29,7 @@ from nilheckeb import (
     staircase,
     verify_nil_relations,
 )
+from nilheckeb.demazure import _generator_table, _simple_root
 
 
 def even_random(n, rng, max_xdeg=4, max_terms=5):
@@ -238,3 +239,15 @@ def test_demazure_word_checks_every_letter_at_entry():
 def test_suite_green(n):
     rep = verify_nil_relations(n, trials=25, seed=0)
     assert rep.passed, str(rep)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_generator_table_matches_the_oracle_on_every_generator(n):
+    xs = [ExtPoly.x(j, n) for j in range(1, n + 1)]
+    ws = [ExtPoly.odd(j, n) for j in range(1, n + 1)]
+    for i in range(1, n + 1):
+        evens, odds = _generator_table(i, ws)
+        assert evens == [reference.oracle_demazure(i, g) for g in xs]
+        assert odds == [reference.oracle_demazure(i, g) for g in ws]
+        root = _simple_root(i, n)
+        assert all(g - act_gen(i, g) == root * dg for g, dg in zip(xs + ws, evens + odds))

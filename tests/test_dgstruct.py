@@ -96,3 +96,11 @@ def test_odd_derivation_rule_runs_at_one_trial(seed):
         check = next(c for c in rep.checks if c.check == "odd derivation rule")
         assert check.passed
         assert check.detail != "no trial ran"
+
+
+@pytest.mark.parametrize("N, nvars, named", [
+    (True, 2, "N"), (0, 2, "N"), (2.0, 2, "N"),
+    (2, 0, "nvars"), (2, -1, "nvars"), (2, True, "nvars"), (2, "2", "nvars")])
+def test_a_differential_refuses_an_index_or_rank_that_is_not_a_positive_int(N, nvars, named):
+    with pytest.raises(ValueError, match=f"{named} = "):
+        Differential(N, nvars)

@@ -323,3 +323,15 @@ def test_homogeneous_components_sum_back():
         assert degree(piece, DGN(3)) == d
         total = total + piece
     assert total == f
+
+
+@pytest.mark.parametrize("family", [OMEGA, DX])
+def test_subtraction_adds_the_negation(family):
+    rng = random.Random(5)
+    for _ in range(20):
+        f, g = (random_poly(3, family, rng=rng) for _ in range(2))
+        assert f - g == f + (-g)
+        assert (f - f).is_zero() and (f - g) + g == f
+        assert f - 2 == f + ExtPoly.const(3, -2, family)
+    with pytest.raises(ValueError, match="different rings"):
+        ExtPoly.x(1, 3, family) - ExtPoly.x(1, 2, family)

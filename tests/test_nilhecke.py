@@ -39,7 +39,7 @@ from nilheckeb import (
     schubert,
     verify_presentation,
 )
-from nilheckeb import _kernels_py
+from nilheckeb import _kernels_py, nilhecke
 from nilheckeb.nilhecke import _detects_nonzero, _push_through, _random_nh
 
 
@@ -616,3 +616,14 @@ def test_nh_command_prints_the_product(args):
     want = nh_mul(a, b).terms
     assert printed == want
     assert all(type(printed[k]) is type(c) for k, c in want.items())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_product_that_breaks_the_nil_law_fails_the_presentation(monkeypatch, n):
+    # the relation sides are nh_mul products: with no descent ever seen,
+    # D_i * D_i comes out as D_e, and D_i^2 = 0 must fail
+    monkeypatch.setattr(nilhecke, "_descends", lambda a, b: False)
+    rep = verify_presentation(n, trials=1, seed=0)
+    check = next(c for c in rep.checks if c.check == "presentation relations in PBW form")
+    assert not check.passed
+    assert "D1^2 = 0" in check.detail

@@ -377,3 +377,13 @@ def test_span_rank():
     assert span_rank([ExtPoly.zero(2), ExtPoly.zero(2)]) == 0
     assert span_rank([x1 + x2, x1 - x2 * 2, x1 * 3]) == 2
     assert span_rank([x1, x2, x1 * x2]) == 3
+
+
+@pytest.mark.parametrize("n", [-2, -1, True, False, 2.0, "2"])
+def test_poincare_refuses_a_rank_that_is_not_an_int_at_least_zero(n):
+    with pytest.raises(ValueError, match="rank n = "):
+        poincare(n)
+
+
+def test_poincare_of_rank_zero_is_one():
+    assert poincare(0) == [1]

@@ -37,7 +37,7 @@ from nilheckeb import (
     verify_weyl,
 )
 from nilheckeb import weylb
-from nilheckeb.weylb import _spine_window, _step
+from nilheckeb.weylb import _braid_relations, _spine_window, _step
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -335,3 +335,31 @@ def test_an_out_of_range_letter_raises(word):
             fn(word, 3)
     with pytest.raises(ValueError, match="generator index 4 out of range 1..3"):
         _step([1, 2, 3], 4)
+
+
+@pytest.mark.parametrize("window", [(), (1.0, 2), (True, 2), (2, 1.0), (2, True)])
+def test_a_window_of_rank_zero_or_with_entries_that_are_not_ints_is_refused(window):
+    # (1.0, 2) compares equal to identity(2) and (True, 2) to its window
+    with pytest.raises(ValueError, match="bad window"):
+        SignedPerm(window)
+
+
+@pytest.mark.parametrize("build", [identity, enumerate_group, longest_element,
+                                   lambda n: random_element(n, random.Random(0))])
+def test_the_group_constructors_refuse_rank_zero(build):
+    with pytest.raises(ValueError):
+        build(0)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_braid_relations_pair_reduced_words_of_one_element(n):
+    kinds = _braid_relations(n)
+    assert list(kinds) == ["distant", "adjacent"] + (["length-4"] if n >= 2 else [])
+    assert len(kinds["distant"]) == (n - 1) * (n - 2) // 2
+    assert len(kinds["adjacent"]) == max(n - 2, 0)
+    assert len(kinds.get("length-4", [])) == (n >= 2)
+    for pairs in kinds.values():
+        for a, b in pairs:
+            assert a != b and len(a) == len(b)
+            assert is_reduced(a, n) and is_reduced(b, n)
+            assert from_word(a, n) == from_word(b, n)
