@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["rref", "rank", "solve"]
+__all__ = ["rref", "solve"]
 
 
 def rref(rows):
@@ -52,10 +52,6 @@ def _integer_row(row):
 def _primitive(row):
     g = math.gcd(*row)
     return [a // g for a in row] if g > 1 else row
-
-
-def rank(rows):
-    return len(rref(rows)[1])
 
 
 def solve(rows, rhs):

@@ -16,12 +16,14 @@ checked by ``_follows_generator_table`` as the polynomial identity
 F - s_k F = alpha_k * G that says d_k F = G, where the table G and the
 root alpha_k come from ``demazure._generator_table`` and
 ``demazure._simple_root``, the homes the demazure and nilhecke suites
-read too.  Nothing is divided.  The 2^n images of the invariant basis
-are wedges of the n images J(S_(i)), so their independence is certified
-by one n x n rank at an integer point (``verify_J``).  The invariant dx polynomials
-match the products of the generators f_i and their differentials df_i in
-every bidegree (``solomon_compare``) by leading terms and a count of
-Molien's series against Solomon's product, with no rank.
+read too.  Nothing is divided.  The invariant dx polynomials match the
+products of the generators f_i and their differentials df_i in every
+bidegree (``solomon_compare``) by leading terms and a count of Molien's
+series against Solomon's product, with no rank.  Each one-form
+J(S_(i)) is peeled on those leading terms into the d e_k, and the
+change of basis is anti-triangular with a nonzero constant
+anti-diagonal, so the J(S_beta) times monomials in the f_i are a basis
+of the invariant dx polynomials over the invariants (``verify_J``).
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import linalg
 from ._kernels_py import accumulate
 from .demazure import _generator_table, _simple_root, demazure, demazure_word
 from .extpoly import (
@@ -350,22 +351,25 @@ def build_J(fgens=None, p=None, n=None):
 
 
 def verify_J(n, fgens=None, p=None):
-    """Check J on the generator table, on invariants, and for independence.
+    """Check J on the generator table, on invariants, and Solomon's basis.
 
     J is an algebra map, so the image of each invariant Schur element S_beta
-    is the wedge of the one-forms theta_i = J(S_(i)), i in beta.  The 2^n
-    images are therefore independent as soon as theta_1 ^ ... ^ theta_n is
-    nonzero: the theta_i are then a basis of the one-forms over the field of
-    rational functions, and the wedges over distinct subsets a basis of the
-    whole exterior algebra.  That wedge is det(M) dx_1 ^ ... ^ dx_n, where
-    M[i][k] is the dx_k coefficient of theta_i; up to the constant diagonal
-    of P, det(M) is the Jacobian of the f_i, nonzero by Solomon's theorem.
-    The check takes the rank of M at the integer point x = (1, ..., n).  A
-    full rank there proves det(M) nonzero, so the check never passes
-    wrongly.  It could fail spuriously only if det(M) vanished there; for
-    basic invariants the Jacobian is a nonzero multiple of
-    prod_i x_i * prod_{i<j} (x_i^2 - x_j^2), which does not vanish at a
-    point with distinct positive coordinates.
+    is the wedge of the one-forms theta_i = J(S_(i)), i in beta.  The paper's
+    statement is that the J(S_beta), times monomials in the f_i, are a basis
+    of the invariant dx polynomials over the invariants.  ``solomon_compare``
+    proves that the products m * d e_k, m a monomial in the
+    e_j = e_j(x_1^2, ..., x_n^2), have distinct leading terms and span every
+    bidegree.  So each theta_i is sum_k g_k d e_k with invariant g_k, and
+    peeling leading terms finds them (``_peel``).  theta_i has x-degree
+    2(n-i)+1 and d e_k has 2k-1, so by x-degree g_k = 0 for k > n-i+1 and
+    g_(n-i+1) is a constant c_i.  The change of basis from the d e_k to the
+    theta_i is therefore anti-triangular with determinant +-prod_i c_i.  It
+    is invertible over the invariants exactly when every c_i is nonzero;
+    then the wedges of the theta_i are those of the d e_k under an
+    invertible change of basis, and with the f-monomials they are a basis,
+    which is the paper's statement.  The check peels each theta_i and asks
+    for a nonzero constant times d e_(n-i+1) plus lower d e_k; its detail
+    names the first theta_i that fails and why.
 
     Invariance is checked on the n images theta_i, once each, with no
     random draw.  J and each s_k are linear, so s_k fixes the image
@@ -376,16 +380,13 @@ def verify_J(n, fgens=None, p=None):
     ring map, so invariant theta_i make every image of an invariant
     invariant.
     """
-    if fgens is None:
-        fgens = default_invariant_gens(n)
-    return _verify_built_J(build_J(fgens, p, n), fgens)
+    return _verify_built_J(build_J(fgens, p, n))
 
 
-def _verify_built_J(J, fgens):
-    """The checks of ``verify_J`` on a J already built from ``fgens``."""
+def _verify_built_J(J):
+    """The checks of ``verify_J`` on a J already built."""
     n = J.nvars
     rep = SuiteReport(f"J(n={n})")
-    xf = lambda i: ExtPoly.x(i, n, DX)
 
     rep.add("generator images are bihomogeneous of the right degrees", _images_bihomogeneous(J))
     rep.add("divided differences of the images follow the generator table",
@@ -396,34 +397,60 @@ def _verify_built_J(J, fgens):
              for k in range(1, n + 1) if act_gen(k, img) != img]
     rep.add("images of invariants are invariant", not moved, moved[0] if moved else "")
 
-    rep.add("images of the invariant basis stay independent",
-            _full_rank_at_a_point(list(theta.values())))
-
-    if n == 2:
-        golden = J.of_generator(2) == exterior_d(fgens[1])
-        golden = golden and J.of_generator(1) == exterior_d(fgens[0]) + (
-            xf(2) ** 2
-        ) * exterior_d(fgens[1])
-        rep.add("rank-two images match the solved matrix", golden)
+    es, des = _e_table(n)
+    faults = [f"J(S_({i})): {why}" for i, img in theta.items()
+              if (why := _peel(img, n - i + 1, es, des)[1])]
+    rep.add("each J(S_(i)) peels to a nonzero constant times d e_(n-i+1) plus lower d e_k",
+            not faults, faults[0] if faults else "")
 
     rep.add("unit maps to unit", J.apply(ExtPoly.one(n)) == ExtPoly.one(n, DX))
 
     return rep
 
 
-def _full_rank_at_a_point(forms):
-    """Whether the dx coefficients of the n one-forms, at x = (1, ..., n), make
-    a matrix of rank n; False if a term has other than one dx letter."""
-    n = len(forms)
-    rows = []
-    for form in forms:
-        row = [0] * n
-        for (e, mask), c in form.terms.items():
-            if len(mask) != 1:
-                return False
-            row[mask[0] - 1] += c * math.prod(v**k for v, k in enumerate(e, start=1))
-        rows.append(row)
-    return linalg.rank(rows) == n
+def _e_table(n):
+    """([e_k], [d e_k]) for k = 1..n: e_k = e_k(x_1^2, ..., x_n^2), the
+    generators of ``default_invariant_gens`` in reverse, in the dx family."""
+    es = [f.as_family(DX) for f in reversed(default_invariant_gens(n))]
+    return es, [exterior_d(e) for e in es]
+
+
+def _peel(form, top, es, des):
+    """Write a one-form as sum_k g_k d e_k, k <= top, by its leading terms.
+
+    Returns ({(k, a): coefficient}, fault): g_k is the sum of the
+    coefficients times e^a = e_1^a_1 ... e_n^a_n.  Each step takes the
+    form's lex-leading term (x_1 > ... > x_n).  Its single odd exponent
+    gives k.  The leading term of e^a d e_k has the exponent
+    sum_j 2 a_j (1, ..., 1, 0, ..., 0), with j ones, plus that of
+    x_1^2 ... x_(k-1)^2 x_k, so the exponent drops by 2 a_i from x_i to
+    x_(i+1), and by 1 more at i = k - 1 and i = k; that gives a.  The
+    matching multiple of e^a d e_k is subtracted.
+
+    The fault is "" when the form peels to zero with a nonzero constant
+    times d e_top and lower d e_k.  Otherwise it names a leading term
+    without exactly one dx letter, with its dx letter off the odd
+    exponent, with a negative or odd 2 a_j, or beyond a constant times
+    d e_top, or else says that no d e_top term was found.  Nothing raises;
+    the dict then holds the steps made before the fault.
+    """
+    n, coeffs = form.nvars, {}
+    while key := max(form.terms, default=()):
+        (e, mask), lead = key, render(ExtPoly(n, DX, {key: form.terms[key]}))
+        if len(mask) != 1:
+            return coeffs, f"the leading term {lead} has {len(mask)} dx letters"
+        if [i for i, v in enumerate(e, 1) if v % 2] != [k := mask[0]]:
+            return coeffs, f"the leading term {lead} has dx_{k} off its odd exponent"
+        twice = tuple(u - v - (i in (k - 1, k)) for i, (u, v) in enumerate(zip(e, e[1:] + (0,)), 1))
+        if any(v < 0 or v % 2 for v in twice):
+            return coeffs, f"the leading term {lead} decodes to the e-exponents 2a = {twice}"
+        if (k, twice) > (top, (0,) * n):  # k > top, or k = top and a != 0
+            return coeffs, f"the leading term {lead} is beyond a constant times d e_{top}"
+        a = tuple(v // 2 for v in twice)
+        prod = math.prod((ej for ej, aj in zip(es, a) for _ in range(aj)), start=des[k - 1])
+        c = coeffs[k, a] = normalize_coeff(Fraction(form.terms[key]) / prod.terms[key])
+        form = form - c * prod
+    return coeffs, "" if (top, (0,) * n) in coeffs else f"no d e_{top} term"
 
 
 def _images_bihomogeneous(J):
@@ -541,10 +568,10 @@ def solomon_compare(n):
     """
     rep = SuiteReport(f"solomon(n={n})")
     es, des = [], []  # (where, polynomial, its wanted leading term (x-exponent, odd mask))
-    for k, f in enumerate(reversed(default_invariant_gens(n)), start=1):
+    for k, (f, df) in enumerate(zip(*_e_table(n)), start=1):
         top, rest = (2,) * (k - 1), (0,) * (n - k)
         es.append((f"e_{k}, bidegree ({2 * k},0)", f, ((*top, 2, *rest), ())))
-        des.append((f"d e_{k}, bidegree ({2 * k - 1},1)", exterior_d(f), ((*top, 1, *rest), (k,))))
+        des.append((f"d e_{k}, bidegree ({2 * k - 1},1)", df, ((*top, 1, *rest), (k,))))
     # a leading term is the only term whose x-exponent is lex at least its own
     wrong_lead = lambda cases: [at for at, g, lt in cases
                                 if [key for key in g.terms if key[0] >= lt[0]] != [lt]]
@@ -601,10 +628,8 @@ def verify_solomon(n, trials=8, seed=0):
     theta = [ExtPoly.odd(i + 1, n) for i in range(n)]
     rep.add("characterization two on the generator column", check_char2(P, theta).passed)
 
-    fgens = default_invariant_gens(n)
-    J = build_J(fgens, n=n)
-    theta_dx = [J.of_generator(i) for i in range(1, n + 1)]
-    rep.add("characterization two on the solved images", check_char2(P, theta_dx).passed)
+    J = build_J(n=n)
+    rep.add("characterization two on the solved images", check_char2(P, J.images).passed)
 
     bad = [ExtPoly.x(1, n, OMEGA) * ExtPoly.odd(1, n)] + [
         ExtPoly.odd(i + 1, n) for i in range(1, n)
@@ -618,7 +643,7 @@ def verify_solomon(n, trials=8, seed=0):
         and checks["no two conditions hold without the third"],
     )
 
-    for check, sub in [("equivariance suite", _verify_built_J(J, fgens)),
+    for check, sub in [("equivariance suite", _verify_built_J(J)),
                        ("invariant dimensions match the generator picture", solomon_compare(n))]:
         rep.add(check, sub.passed, _first_failure(sub))
 

@@ -14,7 +14,8 @@ brute-force operator product ``oracle_nh_mul`` borrows the package's
 single-letter operators and polynomial arithmetic but does its own word
 expansion and group bookkeeping.  The dense invariant count
 ``oracle_invariant_dimension`` borrows ``act_gen`` and the rank
-``span_rank`` below (``linalg.rank`` over the joint support) but not
+``span_rank`` below (``rank``, the pivot count of ``linalg.rref``, over
+the joint support) but not
 Molien's formula, which it checks.  The dense product rank
 ``oracle_product_rank`` multiplies the package's invariant generators and
 their ``exterior_d`` out with ``ExtPoly.__mul__`` and takes ``span_rank``:
@@ -47,7 +48,7 @@ from nilheckeb import (DX, ExtPoly, NHElement, OMEGA, SignedPerm, act_gen, compo
                        default_invariant_gens, demazure, demazure_word, exterior_d, gen,
                        inverse, some_reduced_word)
 from nilheckeb._kernels_py import accumulate
-from nilheckeb.linalg import rank
+from nilheckeb.linalg import rref
 from nilheckeb.nilhecke import _push_through
 from nilheckeb.weylb import right_descents
 
@@ -298,6 +299,11 @@ def oracle_J_image(j, n):
         for e, q in sympy.Poly(sympy.expand(c), *xs).terms():
             entries.append((Fraction(int(q.p), int(q.q)), tuple(e), (i + 1,)))
     return ExtPoly.from_terms(n, entries, DX)
+
+
+def rank(rows):
+    """The rank of a rational matrix: the number of pivots of ``linalg.rref``."""
+    return len(rref(rows)[1])
 
 
 def span_rank(polys):

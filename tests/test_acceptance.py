@@ -9,6 +9,7 @@ import time
 
 import conftest
 import reference
+from reference import rank
 from nilheckeb import (
     Differential,
     ExtPoly,
@@ -41,7 +42,6 @@ from nilheckeb import (
     validate_admissible,
     verify_J,
 )
-from nilheckeb.linalg import rank
 from nilheckeb.nilhecke import _random_nh
 
 

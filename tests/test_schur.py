@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from reference import rank
 from nilheckeb import (
     SignedPerm,
     compose,
@@ -37,7 +38,6 @@ from nilheckeb import (
     verify_schur,
 )
 from nilheckeb import OMEGA, ExtPoly, linalg, schur
-from nilheckeb.linalg import rank
 from nilheckeb.schur import exponents
 from nilheckeb.weylb import right_descents
 

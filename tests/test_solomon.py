@@ -1,6 +1,7 @@
 """Exterior derivative, the admissible matrix, and J."""
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -32,9 +33,10 @@ from nilheckeb import (
     verify_solomon,
 )
 from nilheckeb import solomon
+from nilheckeb.schur import elem_squares, exponents
 from nilheckeb.solomon import _invariant_dimensions, _product_counts, _signed_classes
 
-INDEPENDENT = "images of the invariant basis stay independent"
+INDEPENDENT = "each J(S_(i)) peels to a nonzero constant times d e_(n-i+1) plus lower d e_k"
 
 
 def test_exterior_derivative():
@@ -369,7 +371,7 @@ def test_verify_solomon_names_the_failing_count(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_images_are_wedges_of_the_one_column_images(n):
-    # the certificate's premise, and the dense rank over all 2^n images it replaces
+    # the premise of the peel check, and the dense rank over all 2^n images
     J = build_J(n=n)
     theta = {beta: J.apply(s) for (beta,), s in invariant_schur_basis(n, 1)}
     images = []
@@ -379,6 +381,104 @@ def test_images_are_wedges_of_the_one_column_images(n):
             assert images[-1] == math.prod((theta[i] for i in beta), start=ExtPoly.one(n, DX))
     assert reference.span_rank(images) == len(images) == 2**n
     assert {c.check: c.passed for c in verify_J(n).checks}[INDEPENDENT]
+
+
+def _antidiagonal(J):
+    """c_i, the constant on d e_(n-i+1) in the peel of J(S_(i)), with the
+    number of steps each peel took."""
+    n = J.nvars
+    out = []
+    for (i,), s in invariant_schur_basis(n, 1):
+        coeffs, fault = solomon._peel(J.apply(s), n - i + 1, *solomon._e_table(n))
+        assert not fault, (i, fault)
+        out.append((coeffs[n - i + 1, (0,) * n], len(coeffs)))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_the_default_images_peel_to_one_times_d_e_in_n_minus_i_plus_1_steps(n):
+    assert _antidiagonal(build_J(n=n)) == [(1, n - i) for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_doubled_tuple_peels_to_one_half(n):
+    doubled = tuple(2 * q for q in default_admissible(n))
+    assert [c for c, _ in _antidiagonal(build_J(n=n, p=doubled))] == [Fraction(1, 2)] * n
+    assert verify_J(n, p=doubled).passed
+
+
+@pytest.mark.parametrize("p", ["x1^2 - x2^2, 1", "2*x2^2, 1"])
+def test_verify_J_passes_on_rank_two_tuples_other_than_the_default(p):
+    # a check that compared the images with the default tuple's failed on these
+    p = tuple(parse(q, 2) for q in p.split(", "))
+    assert validate_admissible(p).passed
+    rep = verify_J(2, p=p)
+    assert rep.passed, str(rep)
+
+
+def _drawn_tuple(n, rng):
+    """p_j: a combination, with coefficients +-1..3, of the monomials of
+    degree 2(n-j) in the e_k(x_1^2, ..., x_(n-1)^2) and x_n^2."""
+    gens = [elem_squares(k, n - 1, n) for k in range(1, n)] + [ExtPoly.x(n, n) ** 2]
+    degs = [2 * k for k in range(1, n)] + [2]
+    return tuple(
+        sum((rng.choice([-3, -2, -1, 1, 2, 3])
+             * math.prod((g**b for g, b in zip(gens, expo)), start=ExtPoly.one(n))
+             for expo in exponents(degs, 2 * (n - j))), start=ExtPoly.zero(n))
+        for j in range(1, n + 1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_verify_J_passes_on_drawn_admissible_tuples(n):
+    rng = random.Random(n)
+    admissible = 0
+    for _ in range(4):
+        p = _drawn_tuple(n, rng)
+        if not validate_admissible(p).passed:
+            continue
+        admissible += 1
+        rep = verify_J(n, p=p)
+        assert rep.passed, str(rep)
+        assert all(c for c, _ in _antidiagonal(build_J(n=n, p=p)))
+    assert admissible
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_first_image_in_the_span_of_the_second_fails_the_peel(monkeypatch, n):
+    # S_(1) replaced by e_1(x^2) * S_(2): invariant and of the right degree,
+    # but J(S_(1)) = e_1 * theta_2 has no d e_n term
+    def patched(n, k):
+        basis = invariant_schur_basis(n, k)
+        if k == 1:
+            basis[0] = ((1,), default_invariant_gens(n)[n - 1] * basis[1][1])
+        return basis
+
+    monkeypatch.setattr(solomon, "invariant_schur_basis", patched)
+    failed = [(c.check, c.detail) for c in verify_J(n).checks if not c.passed]
+    assert failed == [(INDEPENDENT, f"J(S_(1)): no d e_{n} term")]
+    assert not verify_solomon(n).passed
+
+
+@pytest.mark.parametrize("form, top, fault", [
+    ("x1", 2, "the leading term x1 has 0 dx letters"),
+    ("dx1*dx2", 2, "the leading term dx1*dx2 has 2 dx letters"),
+    ("x1^2*x2*dx1", 2, "the leading term x1^2*x2*dx1 has dx_1 off its odd exponent"),
+    ("x2*dx2", 2, "the leading term x2*dx2 decodes to the e-exponents 2a = (-2, 0)"),
+    ("x1^2*x2*dx2", 1, "the leading term x1^2*x2*dx2 is beyond a constant times d e_1"),
+    ("x1^3*dx1", 1, "the leading term x1^3*dx1 is beyond a constant times d e_1"),
+])
+def test_the_peel_reports_a_leading_term_it_cannot_take(form, top, fault):
+    assert solomon._peel(parse(form, 2, DX), top, *solomon._e_table(2)) == ({}, fault)
+
+
+def test_the_peel_keeps_the_steps_before_a_fault():
+    # x1^2*x2*dx2 leads d e_2 / 2; what is left, -x1*x2^2*dx1, decodes to no product
+    coeffs, fault = solomon._peel(parse("x1^2*x2*dx2", 2, DX), 2, *solomon._e_table(2))
+    assert coeffs == {(2, (0, 0)): Fraction(1, 2)}
+    assert fault == "the leading term -x1*x2^2*dx1 decodes to the e-exponents 2a = (-2, 2)"
+    # d e_1 peels to itself, which has no d e_2 term
+    assert solomon._peel(parse("2*x1*dx1 + 2*x2*dx2", 2, DX), 2, *solomon._e_table(2)) == (
+        {(1, (0, 0)): 1}, "no d e_2 term")
 
 
 def _patch_images(monkeypatch, change):
